@@ -122,6 +122,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         level=LOG_LEVELS[config.log_level],
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
+    if config.seed is None:  # one seed for the whole servient, so the run replays
+        config = dataclasses.replace(config, seed=RandomSource().seed)
+    logger.info("seed %d (replay with --seed %d)", config.seed, config.seed)
 
     things = []
     for path in args.td_files:

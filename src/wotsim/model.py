@@ -85,31 +85,12 @@ class DataSchema:
                     f"minItems {self.min_items} exceeds maxItems {self.max_items}"
                 )
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no recognized keyword is present (accepts/generates anything)."""
-        return (
-            self.type is None
-            and self.enum_values is None
-            and self.const_value is MISSING
-            and self.one_of is None
-            and self.minimum is None
-            and self.maximum is None
-            and self.items is None
-            and self.min_items is None
-            and self.max_items is None
-            and self.properties is None
-            and self.required is None
-        )
-
 
 @dataclass(frozen=True)
 class Form:
     """One protocol binding entry of an affordance."""
 
     href: str
-    content_type: str = "application/json"
-    op: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.href, str) or not self.href:
@@ -126,7 +107,6 @@ class PropertyAffordance:
 
     data_schema: DataSchema
     read_only: bool = False
-    observable: bool = False
     forms: tuple[Form, ...] = ()
     raw: dict = field(default_factory=dict)
 

@@ -77,22 +77,31 @@ class RealClock:
         return self._stop.wait(seconds)
 
 
+# Queued to every live subscription by stop_events: the stream is over.
+_END_OF_STREAM = object()
+
+
 class EventSubscription:
-    """Receives every emission of one event between subscribe and close."""
+    """Receives every emission of one event between subscribe and close.
+
+    Iterating blocks for each payload and ends once the Thing stops its events.
+    """
 
     def __init__(self, thing: "VirtualThing", event_name: str):
         self._thing = thing
         self.event_name = event_name
         self._queue: queue.Queue = queue.Queue()
-        self.closed = False
 
     def get(self, timeout: float | None = None) -> Json:
         """Next payload; raises queue.Empty when the timeout elapses."""
         return self._queue.get(timeout=timeout)
 
+    def __iter__(self):
+        while (payload := self._queue.get()) is not _END_OF_STREAM:
+            yield payload
+
     def close(self) -> None:
         self._thing.unsubscribe(self)
-        self.closed = True
 
 
 class VirtualThing:
@@ -183,6 +192,8 @@ class VirtualThing:
             if name not in self.original_td.events:
                 raise UnknownEvent(f"no event named {name!r}")
             subscription = EventSubscription(self, name)
+            if self._stop.is_set():  # subscribed after stop_events: end at once
+                subscription._queue.put(_END_OF_STREAM)
             self._subscribers[name].add(subscription)
             return subscription
 
@@ -238,7 +249,12 @@ class VirtualThing:
             logger.debug("%s: %d event scheduler(s) armed", self.title, len(self._threads))
 
     def stop_events(self) -> None:
+        """Stop the schedulers and end every live subscription's iterator."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
+        with self._lock:
+            for subscriptions in self._subscribers.values():
+                for subscription in subscriptions:
+                    subscription._queue.put(_END_OF_STREAM)

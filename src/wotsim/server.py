@@ -4,13 +4,15 @@ Routes follow the convention ``/<thing>/{properties|actions|events}/<name>``;
 the rewritten TD of each Thing is served at ``/<thing>``. Event subscription
 uses Server-Sent Events: each emission is one ``data: <compact JSON>``
 message. JSON is the only payload format on this binding.
+
+Every request takes one path: ``_dispatch`` finds its handler in ``_ROUTES``
+and maps the domain errors the handler raises to statuses.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
@@ -19,23 +21,22 @@ from .config import ServientConfig
 from .errors import (
     BindFailure,
     DuplicateThingName,
-    InvalidInput,
-    InvalidValue,
     MalformedJson,
-    MissingInput,
     ReadOnlyProperty,
     UnknownAction,
     UnknownEvent,
     UnknownProperty,
+    ValidationFailed,
 )
-from .model import is_present
+from .model import MISSING, is_present
 from .runtime import VirtualThing
 from .td import _loads, serialize_td
 
 logger = logging.getLogger(__name__)
 
 TD_CONTENT_TYPE = "application/td+json"
-SSE_POLL_SECONDS = 0.25
+# Largest request body read; anything longer is refused with 413.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _ServientServer(ThreadingHTTPServer):
@@ -43,66 +44,92 @@ class _ServientServer(ThreadingHTTPServer):
 
     def __init__(self, address: tuple[str, int], things: dict[str, VirtualThing]):
         self.things = things  # keyed by (decoded) Thing title
-        self.stopping = threading.Event()
+        # The exposed TD is immutable, so its body is encoded once.
+        self.td_bodies = {
+            title: serialize_td(thing.exposed_td, indent=2).encode("utf-8")
+            for title, thing in things.items()
+        }
         super().__init__(address, _RequestHandler)
+
+    def handle_error(self, request, client_address) -> None:
+        logger.exception("request from %s failed", client_address[0])
+
+
+class _Refused(Exception):
+    """A request refused before it reaches a Thing; args are (status, message)."""
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "wotsim/0.1"
+    # Socket timeout in seconds: a client that stalls mid-request (or stops
+    # reading an event stream) loses its connection instead of a thread.
+    timeout = 10.0
     server: _ServientServer
 
     def log_message(self, fmt, *args):
         logger.debug("%s %s", self.address_string(), fmt % args)
 
-    # --- response helpers ----------------------------------------------
+    # --- responses -------------------------------------------------------
 
-    def _respond_body(self, status: int, body: bytes, content_type: str,
-                      extra_headers: dict | None = None) -> None:
+    def _respond(self, status: int, body: bytes | None = None,
+                 content_type: str = "application/json",
+                 headers: dict | None = None) -> None:
+        """Send a complete response; no body (as for 204) when body is None."""
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+        if body is not None:
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if body is not None:
+            self.wfile.write(body)
 
-    def _respond_json(self, status: int, payload, content_type="application/json") -> None:
-        body = json.dumps(payload, ensure_ascii=False, allow_nan=False).encode("utf-8")
-        self._respond_body(status, body, content_type)
-
-    def _respond_no_content(self) -> None:
-        self.send_response(204)
-        self.send_header("Connection", "close")
-        self.end_headers()
+    def _respond_json(self, status: int, value, headers: dict | None = None) -> None:
+        body = json.dumps(value, ensure_ascii=False, allow_nan=False).encode("utf-8")
+        self._respond(status, body, headers=headers)
 
     def _respond_error(self, status: int, message: str, violations=None,
-                       extra_headers: dict | None = None) -> None:
+                       headers: dict | None = None) -> None:
         doc: dict = {"error": message}
         if violations is not None:
             doc["violations"] = [v.as_dict() for v in violations]
-        body = json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        self._respond_body(status, body, "application/json", extra_headers)
+        self._respond_json(status, doc, headers)
 
-    def _not_found(self) -> None:
-        self._respond_error(404, "not found")
+    # --- dispatch --------------------------------------------------------
 
-    # --- request plumbing ----------------------------------------------
+    def _dispatch(self):
+        self._streaming = False  # set once event-stream headers are out
+        try:
+            parts = [unquote(part) for part in urlsplit(self.path).path.split("/") if part]
+            section = parts[1] if len(parts) > 1 else None
+            route = _ROUTES.get((self.command, len(parts), section))
+            thing = self.server.things.get(parts[0]) if route else None
+            if thing is None:
+                return self._respond_error(404, "not found")
+            if self.command != "GET" and self._wrong_media_type():
+                return self._respond_error(415, "request body must be application/json")
+            route(self, thing, *parts[2:])
+        except (UnknownProperty, UnknownAction, UnknownEvent) as exc:
+            self._respond_error(404, str(exc))
+        except ReadOnlyProperty as exc:
+            self._respond_error(405, str(exc), headers={"Allow": "GET"})
+        except ValidationFailed as exc:
+            self._respond_error(400, str(exc), exc.violations)
+        except (MalformedJson, UnicodeDecodeError) as exc:
+            self._respond_error(400, f"malformed JSON body: {exc}")
+        except _Refused as exc:
+            self._respond_error(*exc.args)
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            self.close_connection = True
+        except Exception as exc:  # never let a handler thread die silently
+            logger.exception("%s %s failed", self.command, self.path)
+            if not self._streaming:  # a stream's status line is already sent
+                self._respond_error(500, str(exc))
 
-    def _segments(self) -> list[str]:
-        path = urlsplit(self.path).path
-        return [unquote(part) for part in path.split("/") if part]
-
-    def _thing(self, segment: str) -> VirtualThing | None:
-        return self.server.things.get(segment)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length > 0 else b""
-
-    def _parse_json_body(self):
-        return _loads(self._read_body().decode("utf-8"))
+    do_GET = do_PUT = do_POST = _dispatch
 
     def _wrong_media_type(self) -> bool:
         """True when an explicit Content-Type is anything but JSON."""
@@ -112,153 +139,75 @@ class _RequestHandler(BaseHTTPRequestHandler):
         media = content_type.split(";", 1)[0].strip().lower()
         return media != "application/json"
 
-    # --- verbs ----------------------------------------------------------
+    def _read_body(self) -> bytes:
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            raise _Refused(400, f"Content-Length {text!r} is not a non-negative integer")
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(length) if length else b""
 
-    def do_GET(self):
-        try:
-            self._handle_get()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:  # never let a handler thread die silently
-            logger.exception("GET %s failed", self.path)
-            self._respond_error(500, str(exc))
+    # --- routes ----------------------------------------------------------
 
-    def do_PUT(self):
-        try:
-            self._handle_put()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:
-            logger.exception("PUT %s failed", self.path)
-            self._respond_error(500, str(exc))
+    def _get_td(self, thing: VirtualThing):
+        self._respond(200, self.server.td_bodies[thing.title], TD_CONTENT_TYPE)
 
-    def do_POST(self):
-        try:
-            self._handle_post()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:
-            logger.exception("POST %s failed", self.path)
-            self._respond_error(500, str(exc))
+    def _read_all(self, thing: VirtualThing):
+        self._respond_json(200, thing.read_all_properties())
 
-    def _handle_get(self):
-        segments = self._segments()
-        if len(segments) == 1:
-            thing = self._thing(segments[0])
-            if thing is None:
-                return self._not_found()
-            body = serialize_td(thing.exposed_td, indent=2).encode("utf-8")
-            return self._respond_body(200, body, TD_CONTENT_TYPE)
-        if len(segments) == 2 and segments[1] == "properties":
-            thing = self._thing(segments[0])
-            if thing is None:
-                return self._not_found()
-            return self._respond_json(200, thing.read_all_properties())
-        if len(segments) == 3 and segments[1] == "properties":
-            thing = self._thing(segments[0])
-            if thing is None:
-                return self._not_found()
-            try:
-                value = thing.read_property(segments[2])
-            except UnknownProperty as exc:
-                return self._respond_error(404, str(exc))
-            return self._respond_json(200, value)
-        if len(segments) == 3 and segments[1] == "events":
-            return self._handle_event_stream(segments[0], segments[2])
-        return self._not_found()
+    def _read_property(self, thing: VirtualThing, name: str):
+        self._respond_json(200, thing.read_property(name))
 
-    def _handle_put(self):
-        segments = self._segments()
-        if len(segments) != 3 or segments[1] != "properties":
-            return self._not_found()
-        thing = self._thing(segments[0])
-        if thing is None:
-            return self._not_found()
-        if self._wrong_media_type():
-            return self._respond_error(415, "request body must be application/json")
-        try:
-            value = self._parse_json_body()
-        except (MalformedJson, UnicodeDecodeError) as exc:
-            return self._respond_error(400, f"malformed JSON body: {exc}")
-        try:
-            thing.write_property(segments[2], value)
-        except UnknownProperty as exc:
-            return self._respond_error(404, str(exc))
-        except ReadOnlyProperty as exc:
-            return self._respond_error(405, str(exc), extra_headers={"Allow": "GET"})
-        except InvalidValue as exc:
-            return self._respond_error(400, str(exc), violations=exc.violations)
-        return self._respond_no_content()
+    def _write_property(self, thing: VirtualThing, name: str):
+        thing.write_property(name, _loads(self._read_body().decode("utf-8")))
+        self._respond(204)
 
-    def _handle_post(self):
-        segments = self._segments()
-        if len(segments) != 3 or segments[1] != "actions":
-            return self._not_found()
-        thing = self._thing(segments[0])
-        if thing is None:
-            return self._not_found()
-        if self._wrong_media_type():
-            return self._respond_error(415, "request body must be application/json")
+    def _invoke_action(self, thing: VirtualThing, name: str):
         body = self._read_body()
-        if body.strip():
-            try:
-                input_value = _loads(body.decode("utf-8"))
-            except (MalformedJson, UnicodeDecodeError) as exc:
-                return self._respond_error(400, f"malformed JSON body: {exc}")
-            have_input = True
-        else:
-            have_input = False
-        try:
-            if have_input:
-                output = thing.invoke_action(segments[2], input_value)
-            else:
-                output = thing.invoke_action(segments[2])
-        except UnknownAction as exc:
-            return self._respond_error(404, str(exc))
-        except (MissingInput, InvalidInput) as exc:
-            return self._respond_error(400, str(exc), violations=exc.violations)
+        value = _loads(body.decode("utf-8")) if body.strip() else MISSING
+        output = thing.invoke_action(name, value)
         if is_present(output):
-            return self._respond_json(200, output)
-        return self._respond_no_content()
+            self._respond_json(200, output)
+        else:
+            self._respond(204)
 
-    # --- SSE -------------------------------------------------------------
-
-    def _handle_event_stream(self, thing_segment: str, event_name: str):
-        thing = self._thing(thing_segment)
-        if thing is None:
-            return self._not_found()
+    def _event_stream(self, thing: VirtualThing, name: str):
         accept = self.headers.get("Accept")
         if accept is not None and "text/event-stream" not in accept and "*/*" not in accept:
             return self._respond_error(406, "event streams are served as text/event-stream")
+        subscription = thing.subscribe_event(name)
         try:
-            subscription = thing.subscribe_event(event_name)
-        except UnknownEvent as exc:
-            return self._respond_error(404, str(exc))
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        # Chunked framing so clients see each message as soon as it is sent;
-        # a plain read-to-close body would sit in their buffers.
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            while not self.server.stopping.is_set():
-                try:
-                    payload = subscription.get(timeout=SSE_POLL_SECONDS)
-                except queue.Empty:
-                    continue
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-cache")
+            # Chunked framing so clients see each message as soon as it is sent;
+            # a plain read-to-close body would sit in their buffers.
+            self.send_header("Transfer-Encoding", "chunked")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self._streaming = True
+            for payload in subscription:
                 data = json.dumps(payload, separators=(",", ":"), allow_nan=False)
                 self._write_chunk(f"data: {data}\n\n".encode("utf-8"))
             self._write_chunk(b"")
-        except (BrokenPipeError, ConnectionResetError):
-            pass
         finally:
             subscription.close()
 
     def _write_chunk(self, data: bytes) -> None:
         self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
         self.wfile.flush()
+
+
+# (method, path segment count, second segment) -> route handler
+_ROUTES = {
+    ("GET", 1, None): _RequestHandler._get_td,
+    ("GET", 2, "properties"): _RequestHandler._read_all,
+    ("GET", 3, "properties"): _RequestHandler._read_property,
+    ("PUT", 3, "properties"): _RequestHandler._write_property,
+    ("POST", 3, "actions"): _RequestHandler._invoke_action,
+    ("GET", 3, "events"): _RequestHandler._event_stream,
+}
 
 
 class ServerHandle:
@@ -292,10 +241,9 @@ class ServerHandle:
         return f"http://{self.address}:{self.port}"
 
     def stop(self) -> None:
-        """Stop schedulers, close event streams, finish in-flight requests."""
+        """Stop schedulers, end event streams, finish in-flight requests."""
         for thing in self.things:
             thing.stop_events()
-        self._server.stopping.set()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 
 from .errors import MalformedJson, MissingTitle, NotAnObject, TypeMismatch
 from .model import (
@@ -55,8 +56,12 @@ _SCHEMA_KEYS = (
 )
 
 
-def _reject_constant(name: str) -> Json:
-    raise MalformedJson(f"{name} is not a valid JSON number")
+def _finite_number(text: str) -> float:
+    """Reject NaN, Infinity and overflowing literals such as 1e999 (RFC 8259 §6)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise MalformedJson(f"{text} is not a finite JSON number")
+    return value
 
 
 def _pairs_last_wins(pairs: list[tuple[str, Json]]) -> dict:
@@ -71,9 +76,12 @@ def _pairs_last_wins(pairs: list[tuple[str, Json]]) -> dict:
 def _loads(text: str) -> Json:
     try:
         return json.loads(
-            text, object_pairs_hook=_pairs_last_wins, parse_constant=_reject_constant
+            text,
+            object_pairs_hook=_pairs_last_wins,
+            parse_constant=_finite_number,
+            parse_float=_finite_number,
         )
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
 
@@ -188,19 +196,7 @@ def _parse_forms(value: Json, where: str) -> tuple[Form, ...]:
         href = entry.get("href")
         if not isinstance(href, str) or not href:
             raise TypeMismatch(f"form of {where} needs a non-empty string href")
-        content_type = entry.get("contentType", "application/json")
-        if not isinstance(content_type, str):
-            logger.warning("ignoring non-string contentType in form of %s", where)
-            content_type = "application/json"
-        op = entry.get("op")
-        if isinstance(op, str):
-            op = (op,)
-        elif isinstance(op, list) and all(isinstance(o, str) for o in op):
-            op = tuple(op)
-        elif op is not None:
-            logger.warning("ignoring malformed op in form of %s", where)
-            op = None
-        forms.append(Form(href=href, content_type=content_type, op=op))
+        forms.append(Form(href=href))
     return tuple(forms)
 
 
@@ -218,7 +214,6 @@ def _parse_property(name: str, obj: Json) -> PropertyAffordance:
     return PropertyAffordance(
         data_schema=extract_schema(obj),
         read_only=_opt_bool(obj, "readOnly", f"property {name!r}"),
-        observable=_opt_bool(obj, "observable", f"property {name!r}"),
         forms=_parse_forms(obj.get("forms"), f"property {name!r}"),
         raw=obj,
     )

@@ -1,5 +1,6 @@
 import http.server
 import json
+import logging
 import signal
 import socket
 import subprocess
@@ -10,7 +11,8 @@ import time
 import pytest
 import requests
 
-from wotsim import EventMode, ServientConfig, build_config, load_config_file
+from wotsim import BindFailure, EventMode, ServientConfig, build_config, load_config_file
+from wotsim import cli
 from wotsim.cli import _parse_interval_flags, main, probe_target, ProbeError
 
 from conftest import FIXTURE_DIR, fixture_text, free_port, running_server
@@ -174,6 +176,33 @@ class TestRunErrors:
         finally:
             blocker.close()
         assert code == 1 and "cannot bind" in err
+
+    @pytest.fixture
+    def refused_things(self, monkeypatch):
+        """Things that `run` tried to serve; serving itself is refused."""
+        things = []
+
+        def refuse(served, config):
+            things.extend(served)
+            raise BindFailure("not serving in this test")
+
+        monkeypatch.setattr(cli, "serve", refuse)
+        return things
+
+    def test_one_logged_seed_drives_every_thing(self, refused_things, caplog):
+        paths = [str(FIXTURE_DIR / name)
+                 for name in ("coffee-machine.td.json", "dice-box.td.json")]
+        with caplog.at_level(logging.INFO, logger="wotsim.cli"):
+            assert main(["run", *paths, "--event-mode", "none"]) == 1
+        seeds = [r.args[0] for r in caplog.records if r.getMessage().startswith("seed ")]
+        assert len(seeds) == 1
+        assert [thing.config.seed for thing in refused_things] == seeds * 2
+
+    def test_given_seed_is_logged(self, refused_things, caplog):
+        path = str(FIXTURE_DIR / "coffee-machine.td.json")
+        with caplog.at_level(logging.INFO, logger="wotsim.cli"):
+            main(["run", path, "--seed", "42", "--event-mode", "none"])
+        assert any(r.getMessage().startswith("seed 42 ") for r in caplog.records)
 
     def test_bad_config_file(self, capsys, tmp_path):
         config = tmp_path / "servient.json"

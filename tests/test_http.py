@@ -1,6 +1,8 @@
 import json
+import logging
 import socket
 import threading
+import time
 
 import pytest
 import requests
@@ -15,6 +17,7 @@ from wotsim import (
     serialize_td,
     serve,
 )
+from wotsim import server
 
 from conftest import fixture_text, free_port, running_server
 
@@ -287,3 +290,161 @@ class TestServerLifecycle:
             for t in threads:
                 t.join(timeout=8)
         assert results == [200] * 9
+
+
+# --- one request path --------------------------------------------------------
+
+NUMBER_TD = json.dumps({
+    "title": "Meter",
+    "properties": {"level": {"type": "number", "forms": [{"href": "/p"}]}},
+})
+
+
+def raw_exchange(port: int, request: bytes, timeout: float = TIMEOUT) -> bytes:
+    """Send raw request bytes and read the answer until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    return answer
+
+
+def status_and_body(answer: bytes) -> tuple[int, dict]:
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestNonFiniteNumbers:
+    def test_overflowing_number_rejected_and_reads_stay_json(self):
+        with running_server([NUMBER_TD]) as handle:
+            url = f"{handle.base_url}/Meter/properties/level"
+            put = requests.put(url, data=b"1e999", timeout=TIMEOUT,
+                               headers={"Content-Type": "application/json"})
+            single = requests.get(url, timeout=TIMEOUT)
+            everything = requests.get(f"{handle.base_url}/Meter/properties",
+                                      timeout=TIMEOUT)
+        assert put.status_code == 400
+        assert "error" in put.json()
+        assert single.status_code == 200 and everything.status_code == 200
+
+
+class TestRequestFraming:
+    PUT_HEAD = (b"PUT /Coffee-Machine/properties/state HTTP/1.1\r\n"
+                b"Host: x\r\nContent-Type: application/json\r\n")
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5"])
+    def test_bad_content_length_is_400(self, coffee_text, length):
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
+                                  + length + b"\r\n\r\n\"Brewing\"")
+        status, body = status_and_body(answer)
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, coffee_text):
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
+                                  + str(server.MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n")
+        status, body = status_and_body(answer)
+        assert status == 413 and "error" in body
+
+    def test_short_body_times_out_without_a_500(self, coffee_text, monkeypatch, caplog):
+        monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
+        with running_server([coffee_text]) as handle:
+            started = time.monotonic()
+            answer = raw_exchange(handle.port, self.PUT_HEAD
+                                  + b"Content-Length: 10\r\n\r\n\"Bre", timeout=3)
+            elapsed = time.monotonic() - started
+        assert answer == b""
+        assert elapsed < 1.0
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+# Every (method, path) pair below that is not one of the six routes.
+ROUTED = {
+    ("GET", "/Coffee-Machine"),
+    ("GET", "/Coffee-Machine/properties"),
+    ("GET", "/Coffee-Machine/properties/state"),
+    ("PUT", "/Coffee-Machine/properties/state"),
+    ("POST", "/Coffee-Machine/actions/brew"),
+    ("GET", "/Coffee-Machine/events/error"),
+}
+PATH_SHAPES = [
+    "/",
+    "/Coffee-Machine",
+    "/Coffee-Machine/properties",
+    "/Coffee-Machine/actions",
+    "/Coffee-Machine/events",
+    "/Coffee-Machine/other",
+    "/Coffee-Machine/properties/state",
+    "/Coffee-Machine/actions/brew",
+    "/Coffee-Machine/events/error",
+    "/Coffee-Machine/other/state",
+    "/Coffee-Machine/properties/state/extra",
+    "/Tea-Kettle/properties/state",
+]
+UNROUTED = [(method, path) for method in ("GET", "PUT", "POST")
+            for path in PATH_SHAPES if (method, path) not in ROUTED]
+
+
+@pytest.fixture(scope="module")
+def coffee_servient():
+    with running_server([fixture_text("coffee-machine.td.json")]) as handle:
+        yield handle
+
+
+@pytest.mark.parametrize("method,path", UNROUTED)
+def test_pairs_outside_the_route_table_are_not_found(coffee_servient, method, path):
+    reply = requests.request(method, coffee_servient.base_url + path, json="Ready",
+                             timeout=TIMEOUT)
+    assert reply.status_code == 404
+    assert reply.json() == {"error": "not found"}
+
+
+def test_td_body_is_serialized_once_per_thing(coffee_text, monkeypatch):
+    with running_server([coffee_text]) as handle:
+        calls = []
+
+        def counting_serialize(*args, **kwargs):
+            calls.append(args)
+            return serialize_td(*args, **kwargs)
+
+        monkeypatch.setattr(server, "serialize_td", counting_serialize)
+        replies = [requests.get(f"{handle.base_url}/Coffee-Machine", timeout=TIMEOUT)
+                   for _ in range(2)]
+    assert [r.status_code for r in replies] == [200, 200]
+    assert replies[0].content == replies[1].content
+    assert calls == []
+
+
+def test_stream_failure_after_headers_sends_no_error_document(coffee_text):
+    with running_server([coffee_text]) as handle:
+        thing = handle.things[0]
+        with socket.create_connection(("127.0.0.1", handle.port),
+                                      timeout=TIMEOUT) as sock:
+            sock.sendall(b"GET /Coffee-Machine/events/error HTTP/1.1\r\nHost: x\r\n"
+                         b"Accept: text/event-stream\r\n\r\n")
+            answer = sock.recv(65536)
+            while b"\r\n\r\n" not in answer:
+                answer += sock.recv(65536)
+            (subscription,) = thing._subscribers["error"]
+            subscription._queue.put(float("nan"))  # not encodable as JSON
+            while chunk := sock.recv(65536):
+                answer += chunk
+    assert answer.startswith(b"HTTP/1.1 200")
+    assert b"HTTP/1.1 500" not in answer
+    assert b'"error"' not in answer
+
+
+def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, capsys):
+    def broken_parse(self):
+        raise RuntimeError("parser exploded")
+
+    monkeypatch.setattr(server._RequestHandler, "parse_request", broken_parse)
+    with running_server([coffee_text]) as handle:
+        answer = raw_exchange(handle.port, b"GET /Coffee-Machine HTTP/1.1\r\n\r\n")
+    assert answer == b""
+    failures = [r for r in caplog.records
+                if r.name == "wotsim.server" and r.exc_info is not None]
+    assert failures and "parser exploded" in str(failures[0].exc_info[1])
+    assert "Traceback" not in capsys.readouterr().err

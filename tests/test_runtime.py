@@ -1,5 +1,7 @@
 import json
 import queue
+import threading
+import time
 
 import pytest
 
@@ -198,6 +200,25 @@ class TestEvents:
         thing = make_thing("coffee-machine.td.json")
         with pytest.raises(UnknownEvent):
             thing.subscribe_event("overheat")
+
+    def test_stop_events_ends_a_blocked_iterator(self):
+        thing = make_thing("coffee-machine.td.json", seed=4)
+        sub = thing.subscribe_event("error")
+        received = []
+        reader = threading.Thread(target=lambda: received.extend(sub))
+        reader.start()
+        payload = thing.emit_event("error")
+        started = time.monotonic()
+        thing.stop_events()
+        reader.join(timeout=2)
+        assert not reader.is_alive()
+        assert time.monotonic() - started < 0.5
+        assert received == [payload]
+
+    def test_subscription_after_stop_ends_at_once(self):
+        thing = make_thing("coffee-machine.td.json", seed=4)
+        thing.stop_events()
+        assert list(thing.subscribe_event("error")) == []
 
 
 class TestEventLoop:

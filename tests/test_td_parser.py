@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,6 @@ class TestParseTd:
         assert state.data_schema.enum_values == ("Ready", "Brewing", "Error")
         assert not state.read_only
         assert state.forms[0].href == "/properties/state"
-        assert state.forms[0].content_type == "application/json"
 
         brew = td.actions["brew"]
         assert brew.input is not None
@@ -68,6 +68,18 @@ class TestParseTd:
             parse_td('{"title": "T", "x": NaN}')
         with pytest.raises(MalformedJson):
             parse_td('{"title": "T", "x": Infinity}')
+
+    @pytest.mark.parametrize("bound", ["1e999", "-1e999"])
+    def test_overflowing_number_rejected(self, bound):
+        text = '{"title": "T", "properties": {"p": {"type": "number", "maximum": %s}}}'
+        with pytest.raises(MalformedJson):
+            parse_td(text % bound)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="integer string conversion is unlimited")
+    def test_integer_beyond_conversion_limit_is_malformed(self):
+        with pytest.raises(MalformedJson):
+            parse_td('{"title": "T", "x": %s}' % ("9" * 5000))
 
     def test_top_level_not_object(self):
         with pytest.raises(NotAnObject):
@@ -123,8 +135,7 @@ class TestExtractSchema:
         )
 
     def test_empty_object_gives_empty_schema(self):
-        schema = extract_schema({})
-        assert schema.is_empty
+        assert extract_schema({}) == DataSchema()
 
     def test_nested_array(self):
         schema = extract_schema({
