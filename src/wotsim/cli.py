@@ -131,11 +131,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             with open(path, "rb") as handle:
                 td = parse_td(handle.read())
+            things.append(VirtualThing(td, config))
         except OSError as exc:
             return _fail(f"cannot read {path}: {exc}")
         except WotSimError as exc:
             return _fail(f"{path}: {exc}")
-        things.append(VirtualThing(td, config))
 
     try:
         handle = serve(things, config)

@@ -3,7 +3,8 @@
 The contract is soundness: for any satisfiable schema, validate(schema,
 generate(schema, rng)) holds. Keyword precedence when several are present is
 const > enum > oneOf > type. Generation is fully deterministic for a given
-(schema, seed) pair.
+(schema, seed) pair. Each schema is prepared once into a Plan, kept on the
+schema, that both generate and minimal_value run.
 """
 
 from __future__ import annotations
@@ -71,40 +72,152 @@ def generate(schema: DataSchema, rng: RandomSource, depth: int = 0) -> Json:
     Raises Unsatisfiable when no conforming value exists (e.g. const/enum
     conflicting with the declared type, or an empty integer range).
     """
-    if is_present(schema.const_value):
-        if not validate(schema, schema.const_value).valid:
-            raise Unsatisfiable("const value conflicts with the other keywords")
-        return copy.deepcopy(schema.const_value)
+    return prepare(schema).draw(rng, depth)
 
-    if schema.enum_values is not None:
-        candidates = [v for v in schema.enum_values if validate(schema, v).valid]
-        if not candidates:
-            raise Unsatisfiable("no enum member conforms to the other keywords")
-        return copy.deepcopy(rng.choice(candidates))
 
-    if schema.one_of is not None:
-        return _generate_one_of(schema, rng, depth)
+def minimal_value(schema: DataSchema) -> Json:
+    """Shallowest conforming value, used when the depth cap is reached."""
+    return prepare(schema).minimal()
 
-    type_name = schema.type
-    if type_name is None and (schema.minimum is not None or schema.maximum is not None):
-        type_name = "number"
-    if type_name is None:
-        logger.warning("schema has no type, enum, const or oneOf; generating null")
-        return None
 
-    if type_name == "null":
-        return None
-    if type_name == "boolean":
-        return rng.choice((False, True))
-    if type_name == "integer":
-        return _generate_integer(schema, rng)
-    if type_name == "number":
-        return _generate_number(schema, rng)
-    if type_name == "string":
-        return _generate_string(rng)
-    if type_name == "array":
-        return _generate_array(schema, rng, depth)
-    return _generate_object(schema, rng, depth)
+def prepare(schema: DataSchema) -> Plan:
+    """The schema's plan, built on first use and kept on the schema.
+
+    Two threads that race here build equal plans, and either may be kept."""
+    plan = schema.plan
+    if plan is None:
+        plan = Plan(schema)
+        object.__setattr__(schema, "plan", plan)
+    return plan
+
+
+_ONE_OF_FAILURE = "every oneOf branch conflicts with the enclosing keywords"
+
+
+class Plan:
+    """What a draw from one schema needs that does not depend on the random
+    source, derived once: the checked const, the conforming enum members, the
+    merged oneOf branches with their nesting depths, the resolved type and
+    bounds, the member plans and, on first use, the minimal value.
+
+    ``failure`` is the Unsatisfiable message that every draw raises before
+    using the random source, or None.
+    """
+
+    def __init__(self, schema: DataSchema):
+        self.failure: str | None = None
+        self._minimal: Json | object = MISSING
+        if is_present(schema.const_value):
+            self.kind, self._minimal = "const", schema.const_value
+            if not validate(schema, schema.const_value).valid:
+                self.failure = "const value conflicts with the other keywords"
+            return
+        if schema.enum_values is not None:
+            self.kind = "enum"
+            self.members = [v for v in schema.enum_values if validate(schema, v).valid]
+            if self.members:
+                self._minimal = self.members[0]
+            else:
+                self.failure = "no enum member conforms to the other keywords"
+            return
+        if schema.one_of is not None:
+            self.kind = "oneOf"
+            merged = [m for b in schema.one_of if (m := merge_branch(schema, b)) is not None]
+            self.branches = [(nesting_depth(m), prepare(m)) for m in merged]
+            if not self.branches:
+                self.failure = _ONE_OF_FAILURE
+            return
+
+        kind = schema.type
+        if kind is None and (schema.minimum is not None or schema.maximum is not None):
+            kind = "number"
+        if kind is None:
+            logger.warning("schema has no type, enum, const or oneOf; generating null")
+            kind = "null"
+        self.kind = kind
+        self._minimal = {"null": None, "boolean": False, "string": ""}.get(kind, MISSING)
+        if kind == "integer":
+            lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -128, 127)
+            self.lo, self.hi = int(math.ceil(lo)), int(math.floor(hi))
+            self._minimal = self.lo
+            if self.lo > self.hi:
+                self.failure = f"no integer exists in [{schema.minimum}, {schema.maximum}]"
+        elif kind == "number":
+            self.lo, self.hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
+            self._minimal = float(self.lo)
+        elif kind == "array":
+            self.items = prepare(schema.items or DataSchema())
+            self.lo = schema.min_items if schema.min_items is not None else 0
+            self.hi = schema.max_items if schema.max_items is not None else self.lo + 5
+        elif kind == "object":
+            self.properties = {n: prepare(s) for n, s in (schema.properties or {}).items()}
+            self.required = schema.required or ()
+
+    def draw(self, rng: RandomSource, depth: int) -> Json:
+        if self.failure is not None:
+            raise Unsatisfiable(self.failure)
+        kind = self.kind
+        if kind == "const":
+            return copy.deepcopy(self._minimal)
+        if kind == "enum":
+            return copy.deepcopy(rng.choice(self.members))
+        if kind == "oneOf":
+            candidates = list(self.branches)
+            while candidates:
+                if depth >= DEPTH_CAP:
+                    index = min(range(len(candidates)), key=lambda i: candidates[i][0])
+                else:
+                    index = rng.randrange(len(candidates))
+                try:
+                    return candidates[index][1].draw(rng, depth)
+                except Unsatisfiable:
+                    candidates.pop(index)
+            raise Unsatisfiable(_ONE_OF_FAILURE)
+        if kind == "null":
+            return None
+        if kind == "boolean":
+            return rng.choice((False, True))
+        if kind == "integer":
+            return rng.randint(self.lo, self.hi)
+        if kind == "number":
+            draw = rng.uniform(self.lo, self.hi)
+            rounded = round(draw, 6)
+            # Rounding must not escape a very narrow range.
+            return rounded if self.lo <= rounded <= self.hi else draw
+        if kind == "string":
+            length = rng.randint(4, 16)
+            return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
+        if depth >= DEPTH_CAP:
+            return self.minimal()
+        if kind == "array":
+            return [self.items.draw(rng, depth + 1) for _ in range(rng.randint(self.lo, self.hi))]
+        # Every described property is included, not only the required ones.
+        result = {name: plan.draw(rng, depth + 1) for name, plan in self.properties.items()}
+        for name in self.required:
+            result.setdefault(name, None)  # required but never described
+        return result
+
+    def minimal(self) -> Json:
+        if self.failure is not None:
+            raise Unsatisfiable(self.failure)
+        if self._minimal is MISSING:
+            self._minimal = self._build_minimal()
+        return copy.deepcopy(self._minimal)
+
+    def _build_minimal(self) -> Json:
+        """Minimal value of a oneOf, array or object: the other kinds know
+        theirs from the start."""
+        if self.kind == "oneOf":
+            for _, plan in sorted(self.branches, key=lambda branch: branch[0]):
+                try:
+                    return plan.minimal()
+                except Unsatisfiable:
+                    continue
+            raise Unsatisfiable(_ONE_OF_FAILURE)
+        if self.kind == "array":
+            return [self.items.minimal() for _ in range(self.lo)]
+        return {name: self.properties[name].minimal() if name in self.properties else None
+                for name in self.required}
 
 
 def _resolve_bounds(minimum, maximum, default_lo, default_hi):
@@ -127,78 +240,6 @@ def _resolve_bounds(minimum, maximum, default_lo, default_hi):
             hi = minimum + 256
         return minimum, hi
     return minimum, maximum
-
-
-def _generate_integer(schema: DataSchema, rng: RandomSource) -> int:
-    lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -128, 127)
-    lo = int(math.ceil(lo))
-    hi = int(math.floor(hi))
-    if lo > hi:
-        raise Unsatisfiable(f"no integer exists in [{schema.minimum}, {schema.maximum}]")
-    return rng.randint(lo, hi)
-
-
-def _generate_number(schema: DataSchema, rng: RandomSource) -> float:
-    lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
-    draw = rng.uniform(lo, hi)
-    rounded = round(draw, 6)
-    # Rounding must not escape a very narrow range.
-    return rounded if lo <= rounded <= hi else draw
-
-
-def _generate_string(rng: RandomSource) -> str:
-    length = rng.randint(4, 16)
-    return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
-
-
-def _generate_array(schema: DataSchema, rng: RandomSource, depth: int) -> list:
-    if depth >= DEPTH_CAP:
-        count = schema.min_items or 0
-        if count == 0:
-            return []
-        element = minimal_value(schema.items or DataSchema())
-        return [copy.deepcopy(element) for _ in range(count)]
-    lo = schema.min_items if schema.min_items is not None else 0
-    hi = schema.max_items if schema.max_items is not None else lo + 5
-    count = rng.randint(lo, hi)
-    items = schema.items or DataSchema()
-    return [generate(items, rng, depth + 1) for _ in range(count)]
-
-
-def _generate_object(schema: DataSchema, rng: RandomSource, depth: int) -> dict:
-    properties = schema.properties or {}
-    required = schema.required or ()
-    result: dict = {}
-    if depth >= DEPTH_CAP:
-        for name in required:
-            sub = properties.get(name)
-            result[name] = minimal_value(sub) if sub is not None else None
-        return result
-    # Every described property is included, not only the required ones.
-    for name, sub in properties.items():
-        result[name] = generate(sub, rng, depth + 1)
-    for name in required:
-        if name not in result:
-            result[name] = None  # required but never described
-    return result
-
-
-def _generate_one_of(schema: DataSchema, rng: RandomSource, depth: int) -> Json:
-    candidates = []
-    for branch in schema.one_of:
-        merged = merge_branch(schema, branch)
-        if merged is not None:
-            candidates.append(merged)
-    while candidates:
-        if depth >= DEPTH_CAP:
-            index = min(range(len(candidates)), key=lambda i: nesting_depth(candidates[i]))
-        else:
-            index = rng.randrange(len(candidates))
-        try:
-            return generate(candidates[index], rng, depth)
-        except Unsatisfiable:
-            candidates.pop(index)
-    raise Unsatisfiable("every oneOf branch conflicts with the enclosing keywords")
 
 
 def nesting_depth(schema: DataSchema) -> int:
@@ -295,55 +336,3 @@ def _pick(fn, a, b):
     if b is None:
         return a
     return fn(a, b)
-
-
-def minimal_value(schema: DataSchema) -> Json:
-    """Shallowest conforming value, used when the depth cap is reached."""
-    if is_present(schema.const_value):
-        if not validate(schema, schema.const_value).valid:
-            raise Unsatisfiable("const value conflicts with the other keywords")
-        return copy.deepcopy(schema.const_value)
-    if schema.enum_values is not None:
-        for member in schema.enum_values:
-            if validate(schema, member).valid:
-                return copy.deepcopy(member)
-        raise Unsatisfiable("no enum member conforms to the other keywords")
-    if schema.one_of is not None:
-        candidates = [m for b in schema.one_of if (m := merge_branch(schema, b)) is not None]
-        for merged in sorted(candidates, key=nesting_depth):
-            try:
-                return minimal_value(merged)
-            except Unsatisfiable:
-                continue
-        raise Unsatisfiable("every oneOf branch conflicts with the enclosing keywords")
-
-    type_name = schema.type
-    if type_name is None and (schema.minimum is not None or schema.maximum is not None):
-        type_name = "number"
-    if type_name in (None, "null"):
-        return None
-    if type_name == "boolean":
-        return False
-    if type_name == "string":
-        return ""
-    if type_name == "integer":
-        lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -128, 127)
-        lo = int(math.ceil(lo))
-        if lo > math.floor(hi):
-            raise Unsatisfiable(f"no integer exists in [{schema.minimum}, {schema.maximum}]")
-        return lo
-    if type_name == "number":
-        lo, _ = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
-        return float(lo)
-    if type_name == "array":
-        count = schema.min_items or 0
-        if count == 0:
-            return []
-        element = minimal_value(schema.items or DataSchema())
-        return [copy.deepcopy(element) for _ in range(count)]
-    result = {}
-    properties = schema.properties or {}
-    for name in schema.required or ():
-        sub = properties.get(name)
-        result[name] = minimal_value(sub) if sub is not None else None
-    return result

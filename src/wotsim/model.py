@@ -62,6 +62,8 @@ class DataSchema:
     max_items: int | None = None
     properties: dict[str, "DataSchema"] | None = None
     required: tuple[str, ...] | None = None
+    # The generator's plan for this schema, filled in on first use.
+    plan: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.type is not None and self.type not in SCHEMA_TYPES:

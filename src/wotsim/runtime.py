@@ -26,8 +26,9 @@ from .errors import (
     UnknownAction,
     UnknownEvent,
     UnknownProperty,
+    Unsatisfiable,
 )
-from .generator import RandomSource, generate
+from .generator import RandomSource, generate, prepare
 from .model import MISSING, Form, Json, ThingDescription, is_present
 from .validator import Violation, validate
 
@@ -108,6 +109,13 @@ class VirtualThing:
     """A live simulated Thing built from a parsed Thing Description."""
 
     def __init__(self, td: ThingDescription, config: ServientConfig):
+        """Raises Unsatisfiable when a schema the Thing draws from has no value."""
+        drawn = [("property", n, a.data_schema) for n, a in td.properties.items()]
+        drawn += [("action", n, a.output) for n, a in td.actions.items()]
+        drawn += [("event", n, a.data) for n, a in td.events.items()]
+        for kind, name, schema in drawn:
+            if schema is not None and (failure := prepare(schema).failure):
+                raise Unsatisfiable(f"{kind} {name!r}: {failure}")
         self.original_td = td
         self.config = config
         self.base_url = config.base_url

@@ -8,9 +8,12 @@ nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import operator
+import re
 
 from .errors import MalformedJson, MissingTitle, NotAnObject, TypeMismatch
 from .model import (
@@ -73,7 +76,29 @@ def _pairs_last_wins(pairs: list[tuple[str, Json]]) -> dict:
     return obj
 
 
+# Containers nested deeper than this are refused before decoding, so neither
+# the decoder nor any later walk over the value can run out of stack.
+MAX_JSON_DEPTH = 128
+
+_ESCAPE = re.compile(rb"\\.")
+_BRACKETS = bytes.maketrans(b"[]{}", b"()()")
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nesting_depth(text: str) -> int:
+    """Deepest container nesting of JSON text, found without recursion."""
+    raw = text.encode("utf-8", "surrogatepass")
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)  # so that no escaped quote ends a string
+    outside = b"".join(raw.translate(_BRACKETS, _NOT_BRACKET).split(b'"')[::2])
+    # The openers up to each closer, less the closers before it.
+    opened = itertools.accumulate(map(len, outside.split(b")")))
+    return max(map(operator.sub, opened, itertools.count()))
+
+
 def _loads(text: str) -> Json:
+    if _nesting_depth(text) > MAX_JSON_DEPTH:
+        raise MalformedJson(f"JSON nested deeper than {MAX_JSON_DEPTH} levels")
     try:
         return json.loads(
             text,

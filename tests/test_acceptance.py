@@ -9,7 +9,6 @@ import json
 import queue
 import random
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -32,7 +31,7 @@ from wotsim import (
 from conftest import CountingClock, HorizonClock, fixture_text, free_port, running_server
 from oracles import enumerate_conforming, json_diff, non_conforming_mutants
 from tdgen import random_schema, random_td
-from test_cli import start_run_process
+from test_cli import start_run_process, stop_run_process
 
 COFFEE_ENUM = {"Ready", "Brewing", "Error"}
 
@@ -235,8 +234,7 @@ def test_criterion_8_probe_full_corpus_exits_zero():
                 capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, (title, result.stdout, result.stderr)
     finally:
-        process.send_signal(signal.SIGINT)
-        process.wait(timeout=10)
+        stop_run_process(process)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     print(f"criterion 8: probe exit 0 for all {len(titles)} corpus Things, "
@@ -271,11 +269,9 @@ def test_criterion_9_same_seed_same_outputs():
             first = scripted_sequence(first_port)
             second = scripted_sequence(second_port)
         finally:
-            second_proc.send_signal(signal.SIGINT)
-            second_proc.wait(timeout=10)
+            stop_run_process(second_proc)
     finally:
-        first_proc.send_signal(signal.SIGINT)
-        first_proc.wait(timeout=10)
+        stop_run_process(first_proc)
     assert first == second
     assert len(set(first)) > 2  # the identical sequences are not degenerate
     print(f"criterion 9: two --seed 42 runs agree on all {len(first)} scripted "

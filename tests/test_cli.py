@@ -221,8 +221,10 @@ def start_run_process(*extra, port=None, tds=("coffee-machine.td.json",)):
     argv = [sys.executable, "-m", "wotsim", "run",
             *(str(FIXTURE_DIR / name) for name in tds),
             "--port", str(port), "--log-level", "error", *extra]
-    process = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                               stderr=subprocess.PIPE)
+    # A shell that starts pytest as a background job ignores SIGINT, and the
+    # child would inherit that: restore the default so SIGINT stops it.
+    process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     deadline = time.monotonic() + 15
     while time.monotonic() < deadline:
         if process.poll() is not None:
@@ -234,19 +236,26 @@ def start_run_process(*extra, port=None, tds=("coffee-machine.td.json",)):
         except requests.RequestException:
             time.sleep(0.1)
     process.kill()
+    process.wait()
     raise AssertionError("server never came up")
+
+
+def stop_run_process(process, signum=signal.SIGINT) -> int:
+    """Signal the servient and wait for it; kill it if the wait runs out."""
+    try:
+        process.send_signal(signum)
+        return process.wait(timeout=10)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
 
 
 class TestRunProcess:
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
     def test_clean_shutdown(self, signum):
         process, _ = start_run_process("--event-mode", "none")
-        try:
-            process.send_signal(signum)
-            assert process.wait(timeout=10) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
+        assert stop_run_process(process, signum) == 0
 
     def test_serves_after_startup(self):
         process, port = start_run_process("--event-mode", "none", "--seed", "8")
@@ -256,8 +265,7 @@ class TestRunProcess:
                 timeout=5)
             assert reply.status_code == 200
         finally:
-            process.send_signal(signal.SIGINT)
-            process.wait(timeout=10)
+            stop_run_process(process)
 
 
 class _FaultyHandler(http.server.BaseHTTPRequestHandler):

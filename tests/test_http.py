@@ -18,6 +18,7 @@ from wotsim import (
     serve,
 )
 from wotsim import server
+from wotsim.td import MAX_JSON_DEPTH
 
 from conftest import fixture_text, free_port, running_server
 
@@ -327,6 +328,34 @@ class TestNonFiniteNumbers:
         assert put.status_code == 400
         assert "error" in put.json()
         assert single.status_code == 200 and everything.status_code == 200
+
+
+class TestDeepNesting:
+    LIST_TD = json.dumps({
+        "title": "Shelf",
+        "properties": {"stack": {"type": "array", "forms": [{"href": "/p"}]}},
+    })
+
+    def put_nested(self, handle, levels):
+        url = f"{handle.base_url}/Shelf/properties/stack"
+        put = requests.put(url, data="[" * levels + "]" * levels, timeout=TIMEOUT,
+                           headers={"Content-Type": "application/json"})
+        return put, requests.get(url, timeout=TIMEOUT)
+
+    @pytest.mark.parametrize("levels", [900, 5000, 100000])
+    def test_too_deep_body_is_400_and_reads_still_work(self, levels):
+        with running_server([self.LIST_TD]) as handle:
+            put, get = self.put_nested(handle, levels)
+        assert put.status_code == 400
+        assert "nested deeper" in put.json()["error"]
+        assert get.status_code == 200
+
+    def test_body_at_the_cap_is_stored(self):
+        with running_server([self.LIST_TD]) as handle:
+            put, get = self.put_nested(handle, MAX_JSON_DEPTH)
+        assert put.status_code == 204
+        assert get.status_code == 200
+        assert get.text.count("[") == MAX_JSON_DEPTH
 
 
 class TestRequestFraming:

@@ -22,6 +22,7 @@ from wotsim import (
     parse_td,
     serialize_td,
 )
+from wotsim.td import MAX_JSON_DEPTH
 
 from oracles import json_diff
 from tdgen import random_td
@@ -80,6 +81,13 @@ class TestParseTd:
     def test_integer_beyond_conversion_limit_is_malformed(self):
         with pytest.raises(MalformedJson):
             parse_td('{"title": "T", "x": %s}' % ("9" * 5000))
+
+    def test_nesting_beyond_the_cap_is_malformed(self):
+        schema = {"type": "integer"}
+        for _ in range(MAX_JSON_DEPTH):
+            schema = {"type": "array", "items": schema}
+        with pytest.raises(MalformedJson, match="nested deeper"):
+            parse_td(json.dumps({"title": "T", "properties": {"p": schema}}))
 
     def test_top_level_not_object(self):
         with pytest.raises(NotAnObject):
