@@ -153,25 +153,24 @@ def load_config_file(path: str) -> dict:
     return settings
 
 
+# The ServientConfig field that each settings key (config file or CLI flag) sets.
+_SETTINGS_FIELDS = {
+    "address": "address",
+    "port": "port",
+    "eventMode": "event_mode",
+    "eventIntervals": "event_overrides",
+    "seed": "seed",
+    "logLevel": "log_level",
+}
+
+
 def build_config(file_settings: dict | None, flag_settings: dict | None) -> ServientConfig:
-    """Combine defaults, config-file values and CLI flags (flags win per key)."""
-    merged: dict = {
-        "address": "127.0.0.1",
-        "port": 8080,
-        "eventMode": EventMode.random_interval(),
-        "eventIntervals": {},
-        "seed": None,
-        "logLevel": "info",
-    }
+    """Combine defaults, config-file values and CLI flags (flags win per key).
+
+    The defaults are those of ServientConfig; a None value sets nothing."""
+    chosen: dict = {}
     for source in (file_settings or {}, flag_settings or {}):
         for key, value in source.items():
             if value is not None:
-                merged[key] = value
-    return ServientConfig(
-        address=merged["address"],
-        port=merged["port"],
-        event_mode=merged["eventMode"],
-        event_overrides=merged["eventIntervals"],
-        seed=merged["seed"],
-        log_level=merged["logLevel"],
-    )
+                chosen[_SETTINGS_FIELDS[key]] = value
+    return ServientConfig(**chosen)

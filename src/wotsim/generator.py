@@ -101,7 +101,8 @@ class Plan:
     bounds, the member plans and, on first use, the minimal value.
 
     ``failure`` is the Unsatisfiable message that every draw raises before
-    using the random source, or None.
+    using the random source, or None; ``certain_failure`` also finds the
+    draws that all fail only after using it.
     """
 
     def __init__(self, schema: DataSchema):
@@ -196,6 +197,29 @@ class Plan:
         for name in self.required:
             result.setdefault(name, None)  # required but never described
         return result
+
+    def certain_failure(self, depth: int = 0) -> str | None:
+        """The Unsatisfiable message when every draw at this depth raises, else
+        None. It follows the draw without drawing: an object fails with any
+        member, an array with items it cannot leave out, a oneOf with all
+        branches, and a container at the depth cap with its minimal value."""
+        if self.failure is not None:
+            return self.failure
+        if self.kind == "oneOf":
+            failed = all(plan.certain_failure(depth) for _, plan in self.branches)
+            return _ONE_OF_FAILURE if failed else None
+        if self.kind not in ("array", "object"):
+            return None
+        if depth >= DEPTH_CAP:
+            try:
+                self.minimal()
+            except Unsatisfiable as exc:
+                return str(exc)
+            return None
+        if self.kind == "array":
+            return self.items.certain_failure(depth + 1) if self.lo >= 1 else None
+        failures = (plan.certain_failure(depth + 1) for plan in self.properties.values())
+        return next((failure for failure in failures if failure), None)
 
     def minimal(self) -> Json:
         if self.failure is not None:

@@ -64,6 +64,8 @@ class DataSchema:
     required: tuple[str, ...] | None = None
     # The generator's plan for this schema, filled in on first use.
     plan: object = field(default=None, init=False, compare=False, repr=False)
+    # The validator's compiled checker for this schema, filled in on first use.
+    checker: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.type is not None and self.type not in SCHEMA_TYPES:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .generator import RandomSource, generate, prepare
 from .model import MISSING, Form, Json, ThingDescription, is_present
-from .validator import Violation, validate
+from .validator import Violation, compile_checker, validate
 
 logger = logging.getLogger(__name__)
 
@@ -109,13 +109,17 @@ class VirtualThing:
     """A live simulated Thing built from a parsed Thing Description."""
 
     def __init__(self, td: ThingDescription, config: ServientConfig):
-        """Raises Unsatisfiable when a schema the Thing draws from has no value."""
-        drawn = [("property", n, a.data_schema) for n, a in td.properties.items()]
-        drawn += [("action", n, a.output) for n, a in td.actions.items()]
-        drawn += [("event", n, a.data) for n, a in td.events.items()]
-        for kind, name, schema in drawn:
-            if schema is not None and (failure := prepare(schema).failure):
+        """Prepares the plan of every schema the Thing draws from and compiles
+        the checker of every schema it validates against. Raises Unsatisfiable
+        when every draw from one of them fails."""
+        uses = [("property", n, p.data_schema, p.data_schema) for n, p in td.properties.items()]
+        uses += [("action", n, a.output, a.input) for n, a in td.actions.items()]
+        uses += [("event", n, e.data, None) for n, e in td.events.items()]
+        for kind, name, drawn, checked in uses:
+            if drawn is not None and (failure := prepare(drawn).certain_failure()):
                 raise Unsatisfiable(f"{kind} {name!r}: {failure}")
+            if checked is not None:
+                compile_checker(checked)
         self.original_td = td
         self.config = config
         self.base_url = config.base_url

@@ -43,21 +43,6 @@ _KNOWN_TOP_LEVEL = (
     "events",
 )
 
-# Table of recognized schema keywords; everything else is passed through in raw.
-_SCHEMA_KEYS = (
-    "type",
-    "enum",
-    "const",
-    "oneOf",
-    "minimum",
-    "maximum",
-    "items",
-    "minItems",
-    "maxItems",
-    "properties",
-    "required",
-)
-
 
 def _finite_number(text: str) -> float:
     """Reject NaN, Infinity and overflowing literals such as 1e999 (RFC 8259 §6)."""

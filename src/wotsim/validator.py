@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DataSchema, Json, is_present
+from .model import MISSING, DataSchema, Json
 
 
 def json_equal(a: Json, b: Json) -> bool:
@@ -42,22 +42,19 @@ def json_type_name(value: Json) -> str:
     return "object"
 
 
-def matches_type(value: Json, type_name: str) -> bool:
-    if type_name == "null":
-        return value is None
-    if type_name == "boolean":
-        return isinstance(value, bool)
-    if type_name == "integer":
-        if isinstance(value, bool):
-            return False
-        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if type_name == "string":
-        return isinstance(value, str)
-    if type_name == "array":
-        return isinstance(value, list)
-    return isinstance(value, dict)
+def _is_number(value: Json) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPE_TESTS = {
+    "null": lambda value: value is None,
+    "boolean": lambda value: isinstance(value, bool),
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+    "number": _is_number,
+    "string": lambda value: isinstance(value, str),
+    "array": lambda value: isinstance(value, list),
+    "object": lambda value: isinstance(value, dict),
+}
 
 
 @dataclass(frozen=True)
@@ -79,70 +76,73 @@ class ValidationResult:
         return not self.violations
 
 
-def _escape_pointer(segment: str) -> str:
-    return segment.replace("~", "~0").replace("/", "~1")
-
-
 def validate(schema: DataSchema, value: Json) -> ValidationResult:
-    violations: list[Violation] = []
-    _check(schema, value, "", violations)
-    return ValidationResult(violations)
+    return ValidationResult(_violations(compile_checker(schema), value))
 
 
-def _check(schema: DataSchema, value: Json, path: str, out: list[Violation]) -> None:
+def compile_checker(schema: DataSchema):
+    """The schema's checker, compiled on first use and kept on the schema.
+    Threads that race here compile equal checkers, and either may be kept."""
+    check = schema.checker
+    if check is None:
+        check = _compile(schema)
+        object.__setattr__(schema, "checker", check)
+    return check
+
+
+def _compile(schema: DataSchema):
+    """A closure that appends a value's violations at a JSON-pointer path to a
+    list. It tests only the keywords the schema has, in the order coded below."""
+    minimum, maximum = schema.minimum, schema.maximum
+    bounded = minimum is not None or maximum is not None
     expected = schema.type
-    if expected is None and (schema.minimum is not None or schema.maximum is not None):
-        # Numeric bounds without a type imply a number.
-        expected = "number"
-    if expected is not None and not matches_type(value, expected):
-        out.append(
-            Violation(path, "type", f"expected {expected}, got {json_type_name(value)}")
-        )
+    if expected is None and bounded:
+        expected = "number"  # numeric bounds without a type imply a number
+    is_expected = _TYPE_TESTS.get(expected)
+    enum, const = schema.enum_values, schema.const_value
+    branches = None if schema.one_of is None else [compile_checker(b) for b in schema.one_of]
+    min_items, max_items = schema.min_items, schema.max_items
+    items = None if schema.items is None else compile_checker(schema.items)
+    required = schema.required or ()
+    members = [(name, "/" + name.replace("~", "~0").replace("/", "~1"), compile_checker(sub))
+               for name, sub in (schema.properties or {}).items()]
 
-    if schema.enum_values is not None and not any(
-        json_equal(value, member) for member in schema.enum_values
-    ):
-        out.append(Violation(path, "enum", "value is not one of the enumerated values"))
-
-    if is_present(schema.const_value) and not json_equal(value, schema.const_value):
-        out.append(Violation(path, "const", "value differs from the const value"))
-
-    if schema.one_of is not None and not any(
-        validate(branch, value).valid for branch in schema.one_of
-    ):
-        out.append(Violation(path, "oneOf", "value matches none of the oneOf branches"))
-
-    if matches_type(value, "number"):
-        if schema.minimum is not None and value < schema.minimum:
-            out.append(
-                Violation(path, "minimum", f"{value} is below the minimum {schema.minimum}")
-            )
-        if schema.maximum is not None and value > schema.maximum:
-            out.append(
-                Violation(path, "maximum", f"{value} is above the maximum {schema.maximum}")
-            )
-
-    if isinstance(value, list):
-        if schema.min_items is not None and len(value) < schema.min_items:
-            out.append(
-                Violation(path, "minItems", f"{len(value)} item(s), need at least {schema.min_items}")
-            )
-        if schema.max_items is not None and len(value) > schema.max_items:
-            out.append(
-                Violation(path, "maxItems", f"{len(value)} item(s), allow at most {schema.max_items}")
-            )
-        if schema.items is not None:
-            for index, element in enumerate(value):
-                _check(schema.items, element, f"{path}/{index}", out)
-
-    if isinstance(value, dict):
-        if schema.required:
-            for name in schema.required:
+    def check(value: Json, path: str, out: list[Violation]) -> None:
+        add = out.append
+        if is_expected is not None and not is_expected(value):
+            add(Violation(path, "type", f"expected {expected}, got {json_type_name(value)}"))
+        if enum is not None and not any(json_equal(value, member) for member in enum):
+            add(Violation(path, "enum", "value is not one of the enumerated values"))
+        if const is not MISSING and not json_equal(value, const):
+            add(Violation(path, "const", "value differs from the const value"))
+        if branches is not None and all(_violations(branch, value) for branch in branches):
+            add(Violation(path, "oneOf", "value matches none of the oneOf branches"))
+        if isinstance(value, list):
+            count = len(value)
+            if min_items is not None and count < min_items:
+                add(Violation(path, "minItems", f"{count} item(s), need at least {min_items}"))
+            if max_items is not None and count > max_items:
+                add(Violation(path, "maxItems", f"{count} item(s), allow at most {max_items}"))
+            if items is not None:
+                for index, element in enumerate(value):
+                    items(element, f"{path}/{index}", out)
+        elif isinstance(value, dict):
+            for name in required:
                 if name not in value:
-                    out.append(
-                        Violation(path, "required", f"missing required member {name!r}")
-                    )
-        if schema.properties:
-            for name, sub in schema.properties.items():
+                    add(Violation(path, "required", f"missing required member {name!r}"))
+            for name, segment, member in members:
                 if name in value:
-                    _check(sub, value[name], f"{path}/{_escape_pointer(name)}", out)
+                    member(value[name], path + segment, out)
+        elif bounded and _is_number(value):
+            if minimum is not None and value < minimum:
+                add(Violation(path, "minimum", f"{value} is below the minimum {minimum}"))
+            if maximum is not None and value > maximum:
+                add(Violation(path, "maximum", f"{value} is above the maximum {maximum}"))
+
+    return check
+
+
+def _violations(check, value: Json) -> list[Violation]:
+    found: list[Violation] = []
+    check(value, "", found)
+    return found

@@ -199,9 +199,22 @@ def _td(**sections) -> str:
     return json.dumps({"title": "Broken", **sections})
 
 
+# Every draw from these fails part-way, after using the random source.
+ALWAYS_FAILING = {
+    "member": {"type": "object", "properties": {"a": UNSATISFIABLE_INTEGER}},
+    "items": {"type": "array", "minItems": 2, "items": UNSATISFIABLE_INTEGER},
+}
+
+SOMETIMES_FAILING = {
+    "array of any length": {"type": "array", "items": UNSATISFIABLE_INTEGER},
+    "oneOf failing part-way": HAND_WRITTEN[0],
+}
+
 UNSATISFIABLE_TDS = {
     "property 'level'": _td(properties={
         "level": dict(UNSATISFIABLE_INTEGER, forms=[{"href": "/p"}])}),
+    **{f"property {name!r}": _td(properties={name: dict(doc, forms=[{"href": "/p"}])})
+       for name, doc in ALWAYS_FAILING.items()},
     "action 'go'": _td(actions={
         "go": {"output": {"type": "string", "const": 3}, "forms": [{"href": "/a"}]}}),
     "event 'alarm'": _td(events={
@@ -213,6 +226,27 @@ UNSATISFIABLE_TDS = {
 def test_thing_with_unsatisfiable_schema_is_refused(affordance):
     with pytest.raises(Unsatisfiable, match=affordance):
         VirtualThing(parse_td(UNSATISFIABLE_TDS[affordance]), _config())
+
+
+@pytest.mark.parametrize("case", sorted(SOMETIMES_FAILING))
+def test_schema_whose_draws_can_succeed_loads(case):
+    text = _td(properties={"maybe": dict(SOMETIMES_FAILING[case], forms=[{"href": "/p"}])})
+    assert "maybe" in VirtualThing(parse_td(text), _config()).original_td.properties
+
+
+@pytest.mark.parametrize("depth", [0, DEPTH_CAP])
+def test_certain_failure_agrees_with_seeded_draws(depth):
+    extra = list(ALWAYS_FAILING.values()) + list(SOMETIMES_FAILING.values())
+    for schema in corpus() + [extract_schema(doc) for doc in extra]:
+        failure = wotsim.generator.prepare(schema).certain_failure(depth)
+        succeeded = 0
+        for seed in range(50):
+            try:
+                generate(schema, RandomSource(seed), depth)
+                succeeded += 1
+            except Unsatisfiable:
+                pass
+        assert (succeeded == 0) == (failure is not None), (schema, failure, succeeded)
 
 
 def test_sometimes_failing_schema_still_loads():
