@@ -220,42 +220,42 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def probe_target(target: str, *, duration: float = 10.0,
                  seed: int | None = None) -> list[ProbeCheck]:
     """Fetch a TD (HTTP URL or local file) and exercise every affordance."""
-    session = requests.Session()
-    rng = RandomSource(seed)
-    if target.startswith(("http://", "https://")):
-        try:
-            response = session.get(target, timeout=HTTP_TIMEOUT)
-        except requests.RequestException as exc:
-            raise ProbeError(f"cannot reach {target}: {exc}") from exc
-        if response.status_code != 200:
-            raise ProbeError(f"{target} answered {response.status_code}, expected 200")
-        try:
-            td = parse_td(response.content)
-        except WotSimError as exc:
-            raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
-        fallback_base = target.rstrip("/")
-    else:
-        try:
-            with open(target, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ProbeError(str(exc)) from exc
-        try:
-            td = parse_td(raw)
-        except WotSimError as exc:
-            raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
-        fallback_base = None
+    with requests.Session() as session:
+        rng = RandomSource(seed)
+        if target.startswith(("http://", "https://")):
+            try:
+                response = session.get(target, timeout=HTTP_TIMEOUT)
+            except requests.RequestException as exc:
+                raise ProbeError(f"cannot reach {target}: {exc}") from exc
+            if response.status_code != 200:
+                raise ProbeError(f"{target} answered {response.status_code}, expected 200")
+            try:
+                td = parse_td(response.content)
+            except WotSimError as exc:
+                raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
+            fallback_base = target.rstrip("/")
+        else:
+            try:
+                with open(target, "rb") as handle:
+                    raw = handle.read()
+            except OSError as exc:
+                raise ProbeError(str(exc)) from exc
+            try:
+                td = parse_td(raw)
+            except WotSimError as exc:
+                raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
+            fallback_base = None
 
-    base = td.base if is_present(td.base) and isinstance(td.base, str) else fallback_base
+        base = td.base if is_present(td.base) and isinstance(td.base, str) else fallback_base
 
-    checks: list[ProbeCheck] = []
-    for name, prop in td.properties.items():
-        checks.append(_check_property(session, name, prop, base, rng))
-    for name, action in td.actions.items():
-        checks.append(_check_action(session, name, action, base, rng))
-    for name, event in td.events.items():
-        checks.append(_check_event(session, name, event, base, duration))
-    return checks
+        checks: list[ProbeCheck] = []
+        for name, prop in td.properties.items():
+            checks.append(_check_property(session, name, prop, base, rng))
+        for name, action in td.actions.items():
+            checks.append(_check_action(session, name, action, base, rng))
+        for name, event in td.events.items():
+            checks.append(_check_event(session, name, event, base, duration))
+        return checks
 
 
 def _form_url(forms, base) -> str | None:

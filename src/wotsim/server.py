@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
@@ -49,7 +50,36 @@ class _ServientServer(ThreadingHTTPServer):
             title: serialize_td(thing.exposed_td, indent=2).encode("utf-8")
             for title, thing in things.items()
         }
+        # Sockets of the connections being served, so stop can end them.
+        self._connections: set[socket.socket] = set()
+        self._connections_changed = threading.Condition()
         super().__init__(address, _RequestHandler)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs in the accept loop, so once shutdown() returns every accepted
+        # connection is in the set.
+        with self._connections_changed:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self._connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def end_connections(self, timeout: float) -> None:
+        """Stop reading from every connection, then wait up to `timeout`
+        seconds for each to finish the response it is writing, if any.
+        Waiting matters: bytes that reach a socket after its reads were shut
+        down are still read, so an unfinished handler could answer them."""
+        with self._connections_changed:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer already closed it
+                    pass
+            self._connections_changed.wait_for(lambda: not self._connections, timeout)
 
     def handle_error(self, request, client_address) -> None:
         logger.exception("request from %s failed", client_address[0])
@@ -75,17 +105,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _respond(self, status: int, body: bytes | None = None,
                  content_type: str = "application/json",
                  headers: dict | None = None) -> None:
-        """Send a complete response; no body (as for 204) when body is None."""
+        """Send a complete response; no body (as for 204) when body is None.
+
+        The connection stays open for the next request unless the request's
+        body is unread, the status is a 5xx or the client asked to close.
+        """
         self.send_response(status)
         if body is not None:
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.send_header("Connection", "close")
-        self.end_headers()
+        if self._body_unread or status >= 500 or self.close_connection:
+            self.send_header("Connection", "close")
+        # Status line, headers and body leave in one send: split in two, a
+        # kept-alive response waits on Nagle and the client's delayed ACK.
+        self._headers_buffer.append(b"\r\n")
         if body is not None:
-            self.wfile.write(body)
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _respond_json(self, status: int, value, headers: dict | None = None) -> None:
         body = json.dumps(value, ensure_ascii=False, allow_nan=False).encode("utf-8")
@@ -102,7 +140,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self):
         self._streaming = False  # set once event-stream headers are out
+        transfer_coded = "Transfer-Encoding" in self.headers
+        # True while the request declares body bytes that no handler has read.
+        # A response sent then closes the connection, so those bytes are never
+        # parsed as the next request (RFC 9112 sections 6.3 and 9.6).
+        self._body_unread = (transfer_coded
+                             or self.headers.get("Content-Length", "0").strip() != "0")
         try:
+            if transfer_coded:
+                return self._respond_error(501, "request bodies with Transfer-Encoding"
+                                                " are not supported")
             parts = [unquote(part) for part in urlsplit(self.path).path.split("/") if part]
             section = parts[1] if len(parts) > 1 else None
             route = _ROUTES.get((self.command, len(parts), section))
@@ -140,13 +187,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return media != "application/json"
 
     def _read_body(self) -> bytes:
-        text = self.headers.get("Content-Length", "0").strip()
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        if len(lengths) > 1:  # which one frames the body is ambiguous
+            raise _Refused(400, "more than one Content-Length header")
+        text = lengths[0].strip()
         if not (text.isascii() and text.isdigit()):
             raise _Refused(400, f"Content-Length {text!r} is not a non-negative integer")
         length = int(text)
         if length > MAX_BODY_BYTES:
             raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
+        body = self.rfile.read(length) if length else b""
+        self._body_unread = False
+        return body
 
     # --- routes ----------------------------------------------------------
 
@@ -241,10 +293,12 @@ class ServerHandle:
         return f"http://{self.address}:{self.port}"
 
     def stop(self) -> None:
-        """Stop schedulers, end event streams, finish in-flight requests."""
+        """Stop schedulers, end event streams and kept-alive connections,
+        finish in-flight requests."""
         for thing in self.things:
             thing.stop_events()
         self._server.shutdown()
+        self._server.end_connections(timeout=5.0)
         self._server.server_close()
         self._thread.join(timeout=5.0)
 

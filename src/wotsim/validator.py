@@ -91,8 +91,8 @@ def compile_checker(schema: DataSchema):
 
 
 def _compile(schema: DataSchema):
-    """A closure that appends a value's violations at a JSON-pointer path to a
-    list. It tests only the keywords the schema has, in the order coded below."""
+    """A closure that appends a value's violations at a position (see _add) to
+    a list. It tests only the keywords the schema has, in the order coded below."""
     minimum, maximum = schema.minimum, schema.maximum
     bounded = minimum is not None or maximum is not None
     expected = schema.type
@@ -104,45 +104,55 @@ def _compile(schema: DataSchema):
     min_items, max_items = schema.min_items, schema.max_items
     items = None if schema.items is None else compile_checker(schema.items)
     required = schema.required or ()
-    members = [(name, "/" + name.replace("~", "~0").replace("/", "~1"), compile_checker(sub))
+    members = [(name, name.replace("~", "~0").replace("/", "~1"), compile_checker(sub))
                for name, sub in (schema.properties or {}).items()]
 
-    def check(value: Json, path: str, out: list[Violation]) -> None:
-        add = out.append
+    def check(value: Json, where, out: list[Violation]) -> None:
         if is_expected is not None and not is_expected(value):
-            add(Violation(path, "type", f"expected {expected}, got {json_type_name(value)}"))
+            _add(out, where, "type", f"expected {expected}, got {json_type_name(value)}")
         if enum is not None and not any(json_equal(value, member) for member in enum):
-            add(Violation(path, "enum", "value is not one of the enumerated values"))
+            _add(out, where, "enum", "value is not one of the enumerated values")
         if const is not MISSING and not json_equal(value, const):
-            add(Violation(path, "const", "value differs from the const value"))
+            _add(out, where, "const", "value differs from the const value")
         if branches is not None and all(_violations(branch, value) for branch in branches):
-            add(Violation(path, "oneOf", "value matches none of the oneOf branches"))
+            _add(out, where, "oneOf", "value matches none of the oneOf branches")
         if isinstance(value, list):
             count = len(value)
             if min_items is not None and count < min_items:
-                add(Violation(path, "minItems", f"{count} item(s), need at least {min_items}"))
+                _add(out, where, "minItems", f"{count} item(s), need at least {min_items}")
             if max_items is not None and count > max_items:
-                add(Violation(path, "maxItems", f"{count} item(s), allow at most {max_items}"))
+                _add(out, where, "maxItems", f"{count} item(s), allow at most {max_items}")
             if items is not None:
                 for index, element in enumerate(value):
-                    items(element, f"{path}/{index}", out)
+                    items(element, (where, index), out)
         elif isinstance(value, dict):
             for name in required:
                 if name not in value:
-                    add(Violation(path, "required", f"missing required member {name!r}"))
+                    _add(out, where, "required", f"missing required member {name!r}")
             for name, segment, member in members:
                 if name in value:
-                    member(value[name], path + segment, out)
+                    member(value[name], (where, segment), out)
         elif bounded and _is_number(value):
             if minimum is not None and value < minimum:
-                add(Violation(path, "minimum", f"{value} is below the minimum {minimum}"))
+                _add(out, where, "minimum", f"{value} is below the minimum {minimum}")
             if maximum is not None and value > maximum:
-                add(Violation(path, "maximum", f"{value} is above the maximum {maximum}"))
+                _add(out, where, "maximum", f"{value} is above the maximum {maximum}")
 
     return check
 
 
 def _violations(check, value: Json) -> list[Violation]:
     found: list[Violation] = []
-    check(value, "", found)
+    check(value, None, found)
     return found
+
+
+def _add(out: list[Violation], where, rule: str, detail: str) -> None:
+    """Append a violation at a checker position: None for the checked value,
+    else a (parent position, segment) pair. The position is rendered as a JSON
+    pointer only here, never for each element the checker visits."""
+    segments = []
+    while where is not None:
+        where, segment = where
+        segments.append(f"/{segment}")
+    out.append(Violation("".join(reversed(segments)), rule, detail))

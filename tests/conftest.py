@@ -1,4 +1,6 @@
 import socket
+import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -41,6 +43,22 @@ def running_server(td_texts, *, seed=None, event_mode=None, overrides=None):
         yield handle
     finally:
         handle.stop()
+
+
+def handler_threads() -> int:
+    """Live threads serving a connection, across every servient in the process."""
+    return sum(1 for thread in threading.enumerate()
+               if thread.name.endswith("(process_request_thread)"))
+
+
+def wait_for(condition, seconds: float) -> bool:
+    """Poll until the condition holds; False if it still fails after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class CountingClock:

@@ -15,7 +15,8 @@ from wotsim import BindFailure, EventMode, ServientConfig, build_config, load_co
 from wotsim import cli
 from wotsim.cli import _parse_interval_flags, main, probe_target, ProbeError
 
-from conftest import FIXTURE_DIR, fixture_text, free_port, running_server
+from conftest import (FIXTURE_DIR, fixture_text, free_port, handler_threads,
+                      running_server, wait_for)
 
 
 class TestEventModeSpellings:
@@ -425,6 +426,16 @@ class TestProbe:
         assert [(c.kind, c.affordance) for c in checks] == [
             ("property", "state"), ("action", "brew"), ("event", "error")]
         assert all(c.passed for c in checks)
+
+    def test_probe_closes_its_connections(self, coffee_text):
+        # No events: an event stream's handler notices a closed client only at
+        # its next emission, whoever the client is.
+        td = json.loads(coffee_text)
+        del td["events"]
+        with running_server([json.dumps(td)], seed=5) as handle:
+            before = handler_threads()
+            probe_target(f"{handle.base_url}/Coffee-Machine", duration=0.2, seed=3)
+            assert wait_for(lambda: handler_threads() <= before, 1.0)
 
     def test_probe_error_for_refused_connection(self):
         with pytest.raises(ProbeError):

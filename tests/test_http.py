@@ -20,7 +20,7 @@ from wotsim import (
 from wotsim import server
 from wotsim.td import MAX_JSON_DEPTH
 
-from conftest import fixture_text, free_port, running_server
+from conftest import fixture_text, free_port, handler_threads, running_server, wait_for
 
 TIMEOUT = 5
 
@@ -362,7 +362,7 @@ class TestRequestFraming:
     PUT_HEAD = (b"PUT /Coffee-Machine/properties/state HTTP/1.1\r\n"
                 b"Host: x\r\nContent-Type: application/json\r\n")
 
-    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5"])
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5", b"9\r\nContent-Length: 7"])
     def test_bad_content_length_is_400(self, coffee_text, length):
         with running_server([coffee_text]) as handle:
             answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
@@ -387,6 +387,167 @@ class TestRequestFraming:
         assert answer == b""
         assert elapsed < 1.0
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+# --- persistent connections ---------------------------------------------------
+
+def http_request(method: str, path: str, value=None, **headers) -> bytes:
+    """Request bytes; a JSON body when value is given."""
+    head = f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+    body = b""
+    if value is not None:
+        body = json.dumps(value).encode("utf-8")
+        head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+    for name, text in headers.items():
+        head += f"{name.replace('_', '-')}: {text}\r\n"
+    return head.encode("ascii") + b"\r\n" + body
+
+
+def read_response(reader) -> tuple[int, dict, bytes]:
+    """Read one Content-Length framed response from a socket's file."""
+    status_line = reader.readline()
+    if not status_line:
+        raise EOFError("the server closed the connection")
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", "0")))
+    return int(status_line.split(b" ", 2)[1]), headers, body
+
+
+def closes_then_eof(answer: bytes) -> int:
+    """The status of the only response in `answer`, which must say close."""
+    assert answer.count(b"HTTP/1.1 ") == 1, answer
+    head = answer.partition(b"\r\n\r\n")[0]
+    assert b"\r\nConnection: close" in head
+    return int(head.split(b" ", 2)[1])
+
+
+class TestPersistentConnections:
+    def test_one_connection_carries_every_kind_of_exchange(self, coffee_text):
+        texts = [coffee_text, fixture_text("thermostat.td.json")]
+        state = "/Coffee-Machine/properties/state"
+        exchanges = [  # (request, expected status, check of the body)
+            (http_request("GET", "/Coffee-Machine"), 200,
+             lambda body: json.loads(body)["title"] == "Coffee-Machine"),
+            (http_request("GET", state), 200,
+             lambda body: json.loads(body) in ["Ready", "Brewing", "Error"]),
+            (http_request("PUT", state, "Brewing"), 204, lambda body: body == b""),
+            (http_request("POST", "/Coffee-Machine/actions/brew", "espresso"), 204,
+             lambda body: body == b""),
+            (http_request("GET", "/Coffee-Machine/properties/pressure"), 404,
+             lambda body: "error" in json.loads(body)),
+            (http_request("PUT", state, "Latte"), 400,
+             lambda body: json.loads(body)["violations"][0]["rule"] == "enum"),
+            (http_request("PUT", "/Thermostat-42/properties/temperature", 20.5), 405,
+             lambda body: "error" in json.loads(body)),
+            (http_request("GET", state), 200, lambda body: json.loads(body) == "Brewing"),
+        ]
+        with running_server(texts, seed=1) as handle, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as sock, \
+                sock.makefile("rb") as reader:
+            for request, expected, body_ok in exchanges:
+                sock.sendall(request)
+                status, headers, body = read_response(reader)
+                assert (status, body_ok(body)) == (expected, True), request
+                assert "connection" not in headers, request
+
+    def test_hundred_reads_on_one_connection_do_not_stall(self, coffee_text):
+        # With the status line and the body sent apart, each response waits
+        # on Nagle and the client's delayed ACK: 40 ms or more a request.
+        request = http_request("GET", "/Coffee-Machine/properties/state")
+        with running_server([coffee_text]) as handle, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as sock, \
+                sock.makefile("rb") as reader:
+            started = time.monotonic()
+            statuses = []
+            for _ in range(100):
+                sock.sendall(request)
+                statuses.append(read_response(reader)[0])
+            elapsed = time.monotonic() - started
+        assert statuses == [200] * 100
+        assert elapsed < 2.0
+
+    # A request hidden in the body must never be answered as a request.
+    SMUGGLED = b"GET /Coffee-Machine HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("path,media,status", [
+        ("/Tea-Kettle/properties/state", "application/json", 404),
+        ("/Coffee-Machine/properties/state", "text/plain", 415),
+    ])
+    def test_response_before_the_body_is_read_closes(self, coffee_text, path, media,
+                                                      status):
+        request = http_request("PUT", path, Content_Type=media,
+                               Content_Length=len(self.SMUGGLED)) + self.SMUGGLED
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, request + http_request("GET", "/Coffee-Machine"))
+        assert closes_then_eof(answer) == status
+
+    def test_close_asked_by_the_client_is_confirmed(self, coffee_text):
+        request = http_request("GET", "/Coffee-Machine")
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, http_request(
+                "GET", "/Coffee-Machine", Connection="close") + request)
+        assert closes_then_eof(answer) == 200
+
+    def test_server_error_closes(self, coffee_text, monkeypatch):
+        def broken_read(self, name):
+            raise RuntimeError("store exploded")
+
+        monkeypatch.setattr(VirtualThing, "read_property", broken_read)
+        request = http_request("GET", "/Coffee-Machine/properties/state")
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, request + request)
+        assert closes_then_eof(answer) == 500
+
+    def test_transfer_encoded_bodies_are_refused(self, coffee_text):
+        texts = [coffee_text, fixture_text("dice-box.td.json")]
+        state = "/Coffee-Machine/properties/state"
+        with running_server(texts, seed=1) as handle:
+            requests.put(handle.base_url + state, json="Ready", timeout=TIMEOUT)
+            chunked = b'9\r\n"Brewing"\r\n0\r\n\r\n'
+            refused = [
+                raw_exchange(handle.port, http_request(
+                    "PUT", state, Content_Type="application/json",
+                    Transfer_Encoding="chunked") + chunked + self.SMUGGLED),
+                raw_exchange(handle.port, http_request(
+                    "POST", "/Dice-Box/actions/roll",
+                    Transfer_Encoding="chunked") + b"0\r\n\r\n" + self.SMUGGLED),
+            ]
+            after = requests.get(handle.base_url + state, timeout=TIMEOUT).json()
+        assert [closes_then_eof(answer) for answer in refused] == [501, 501]
+        assert after == "Ready"
+
+    def test_idle_connection_is_released(self, coffee_text, monkeypatch):
+        monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
+        with running_server([coffee_text]) as handle:
+            before = handler_threads()
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=TIMEOUT) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(http_request("GET", "/Coffee-Machine"))
+                assert read_response(reader)[0] == 200
+                assert wait_for(lambda: handler_threads() <= before, 1.0)
+                assert reader.read() == b""
+
+    def test_stop_ends_kept_alive_connections(self, coffee_text):
+        request = http_request("GET", "/Coffee-Machine")
+        with running_server([coffee_text]) as handle:
+            before = handler_threads()
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=TIMEOUT) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(request)
+                assert read_response(reader)[0] == 200
+                handle.stop()
+                try:
+                    sock.sendall(request)
+                    answer = reader.read()
+                except ConnectionError:  # a reset is an end as well
+                    answer = b""
+            assert answer == b""
+            assert wait_for(lambda: handler_threads() <= before, 1.0)
 
 
 # Every (method, path) pair below that is not one of the six routes.
