@@ -3,18 +3,23 @@ and the rewritten TD it presents to consumers.
 
 One VirtualThing may be driven by concurrent request handlers; a single
 instance lock makes property reads/writes linearizable and keeps the
-request-facing RandomSource single-owner. Event scheduling runs on its own
-threads with per-event derived RandomSources, so background emissions never
-perturb the request-visible draw sequence.
+request-facing RandomSource single-owner. One scheduler, ``run_events``,
+drives every event of a servient from one thread; each event draws its gaps
+and payloads from its own derived RandomSource, so background emissions never
+perturb the request-visible draw sequence. Each emission is encoded to JSON
+once and shared by all of its subscribers.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import heapq
+import json
 import logging
 import queue
 import threading
+import time
 from urllib.parse import quote
 
 from .config import RANDOM_INTERVAL_RANGE, ServientConfig
@@ -68,16 +73,50 @@ def rewrite_td(td: ThingDescription, base_url: str) -> ThingDescription:
 
 
 class RealClock:
-    """Wall-clock waiting, interruptible through a stop event."""
+    """Wall-clock waiting on a schedule of due times, interruptible through a
+    stop event."""
 
     def __init__(self, stop: threading.Event):
         self._stop = stop
+        self._due: float | None = None  # on time.monotonic()
 
     def wait(self, seconds: float) -> bool:
-        """Sleep for the given duration; True means "stop the loop now"."""
-        return self._stop.wait(seconds)
+        """Wait until `seconds` after the previous wait was due, so the time
+        spent between waits is not added to the gap; True means "stop the
+        loop now". An overdue wait returns at once and the schedule restarts
+        from now, so a late emission is not followed by catch-up emissions."""
+        now = time.monotonic()
+        self._due = (now if self._due is None else self._due) + seconds
+        if self._due <= now:
+            self._due = now
+            return self._stop.is_set()
+        return self._stop.wait(self._due - now)
 
 
+def run_events(events: list[tuple["VirtualThing", str]], clock) -> None:
+    """Emit every (thing, event name) pair on its own schedule, in due-time
+    order, until the clock's wait reports a stop. Events in mode none never
+    emit. A failing emission is logged and its event stays scheduled."""
+    now = 0.0
+    schedule = []  # heap of (due, index, thing, name); index breaks ties
+    for index, (thing, name) in enumerate(events):
+        gap = thing.next_interval(name)
+        if gap is not None:
+            heapq.heappush(schedule, (gap, index, thing, name))
+    while schedule:
+        due, index, thing, name = schedule[0]
+        if clock.wait(due - now):
+            return
+        now = due
+        try:
+            thing.emit_event(name)
+        except Exception:  # one bad draw must not silence every event
+            logger.exception("%s: emitting event %r failed", thing.title, name)
+        heapq.heapreplace(schedule, (due + thing.next_interval(name), index, thing, name))
+
+
+# Messages a subscription holds for its reader; 5 s at 200 emissions/s.
+SUBSCRIPTION_BUFFER = 1024
 # Queued to every live subscription by stop_events: the stream is over.
 _END_OF_STREAM = object()
 
@@ -86,20 +125,46 @@ class EventSubscription:
     """Receives every emission of one event between subscribe and close.
 
     Iterating blocks for each payload and ends once the Thing stops its events.
+    Payloads are shared by every subscriber and must not be modified. A reader
+    that falls more than SUBSCRIPTION_BUFFER messages behind loses the oldest
+    ones; `dropped` counts them.
     """
 
     def __init__(self, thing: "VirtualThing", event_name: str):
         self._thing = thing
         self.event_name = event_name
-        self._queue: queue.Queue = queue.Queue()
+        self.dropped = 0
+        self._queue: queue.Queue = queue.Queue()  # (payload, encoded) or the end
+
+    def _put(self, message) -> None:
+        # Callers hold the Thing's lock, so only the reader runs alongside,
+        # and it can only make room. The end marker is never refused.
+        if message is not _END_OF_STREAM and self._queue.qsize() >= SUBSCRIPTION_BUFFER:
+            self._queue.get_nowait()
+            self.dropped += 1
+        self._queue.put(message)
 
     def get(self, timeout: float | None = None) -> Json:
         """Next payload; raises queue.Empty when the timeout elapses."""
-        return self._queue.get(timeout=timeout)
+        return self._queue.get(timeout=timeout)[0]
 
     def __iter__(self):
-        while (payload := self._queue.get()) is not _END_OF_STREAM:
-            yield payload
+        while (message := self._queue.get()) is not _END_OF_STREAM:
+            yield message[0]
+
+    def encoded(self, idle_seconds: float):
+        """Like iterating, but yields each payload as compact JSON bytes (one
+        object shared by every subscriber), and None whenever `idle_seconds`
+        pass without an emission."""
+        while True:
+            try:
+                message = self._queue.get(timeout=idle_seconds)
+            except queue.Empty:
+                yield None
+                continue
+            if message is _END_OF_STREAM:
+                return
+            yield message[1]
 
     def close(self) -> None:
         self._thing.unsubscribe(self)
@@ -136,8 +201,7 @@ class VirtualThing:
         self._event_rngs = {
             name: root.derive(f"event:{td.title}:{name}") for name in td.events
         }
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._stopped = False
 
     # --- properties -----------------------------------------------------
 
@@ -204,9 +268,10 @@ class VirtualThing:
             if name not in self.original_td.events:
                 raise UnknownEvent(f"no event named {name!r}")
             subscription = EventSubscription(self, name)
-            if self._stop.is_set():  # subscribed after stop_events: end at once
-                subscription._queue.put(_END_OF_STREAM)
-            self._subscribers[name].add(subscription)
+            if self._stopped:
+                subscription._put(_END_OF_STREAM)
+            else:
+                self._subscribers[name].add(subscription)
             return subscription
 
     def unsubscribe(self, subscription: EventSubscription) -> None:
@@ -214,7 +279,8 @@ class VirtualThing:
             self._subscribers[subscription.event_name].discard(subscription)
 
     def emit_event(self, name: str) -> Json:
-        """One emission: generate a payload and fan it out to all subscribers."""
+        """One emission: generate a payload, encode it once and queue both to
+        every subscriber."""
         with self._lock:
             aff = self.original_td.events.get(name)
             if aff is None:
@@ -223,50 +289,36 @@ class VirtualThing:
                 payload = generate(aff.data, self._event_rngs[name])
             else:
                 payload = None
-            for subscription in self._subscribers[name]:
-                subscription._queue.put(copy.deepcopy(payload))
+            subscriptions = self._subscribers[name]
+            if subscriptions:
+                encoded = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+                message = (payload, encoded.encode("utf-8"))
+                for subscription in subscriptions:
+                    subscription._put(message)
             return payload
+
+    def next_interval(self, name: str) -> float | None:
+        """Seconds from one emission of the event to the next, None in mode
+        none. Random gaps come from the event's own RandomSource."""
+        mode = self.config.mode_for(name)
+        if mode.kind == "none":
+            return None
+        if mode.kind == "fixed":
+            return mode.seconds
+        return self._event_rngs[name].uniform(*RANDOM_INTERVAL_RANGE)
 
     def run_event_loop(self, name: str, clock) -> None:
         """Emit the event forever, pacing with the clock, until the clock's
         wait reports a stop. The random interval is re-drawn per emission."""
-        mode = self.config.mode_for(name)
-        if mode.kind == "none":
-            return
-        rng = self._event_rngs[name]
-        while True:
-            if mode.kind == "fixed":
-                interval = mode.seconds
-            else:
-                interval = rng.uniform(*RANDOM_INTERVAL_RANGE)
-            if clock.wait(interval):
-                return
-            self.emit_event(name)
-
-    def start_events(self) -> None:
-        """Arm one scheduler thread per event whose mode is not none."""
-        self._stop.clear()
-        for name in self.original_td.events:
-            if self.config.mode_for(name).kind == "none":
-                continue
-            thread = threading.Thread(
-                target=self.run_event_loop,
-                args=(name, RealClock(self._stop)),
-                daemon=True,
-                name=f"wotsim-events-{self.title}-{name}",
-            )
-            thread.start()
-            self._threads.append(thread)
-        if self._threads:
-            logger.debug("%s: %d event scheduler(s) armed", self.title, len(self._threads))
+        run_events([(self, name)], clock)
 
     def stop_events(self) -> None:
-        """Stop the schedulers and end every live subscription's iterator."""
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads.clear()
+        """End every live subscription's iterator; later subscriptions end at
+        once. Ended subscriptions leave the subscriber sets, so no later
+        emission can push their end marker out of a full buffer."""
         with self._lock:
+            self._stopped = True
             for subscriptions in self._subscribers.values():
                 for subscription in subscriptions:
-                    subscription._queue.put(_END_OF_STREAM)
+                    subscription._put(_END_OF_STREAM)
+                subscriptions.clear()

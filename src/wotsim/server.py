@@ -3,7 +3,8 @@
 Routes follow the convention ``/<thing>/{properties|actions|events}/<name>``;
 the rewritten TD of each Thing is served at ``/<thing>``. Event subscription
 uses Server-Sent Events: each emission is one ``data: <compact JSON>``
-message. JSON is the only payload format on this binding.
+message, and an idle stream gets a comment every HEARTBEAT_SECONDS. JSON is
+the only payload format on this binding.
 
 Every request takes one path: ``_dispatch`` finds its handler in ``_ROUTES``
 and maps the domain errors the handler raises to statuses.
@@ -30,7 +31,7 @@ from .errors import (
     ValidationFailed,
 )
 from .model import MISSING, is_present
-from .runtime import VirtualThing
+from .runtime import RealClock, VirtualThing, run_events
 from .td import _loads, serialize_td
 
 logger = logging.getLogger(__name__)
@@ -38,6 +39,9 @@ logger = logging.getLogger(__name__)
 TD_CONTENT_TYPE = "application/td+json"
 # Largest request body read; anything longer is refused with 413.
 MAX_BODY_BYTES = 1 << 20
+# Seconds an event stream may stay silent before it gets an SSE comment. The
+# write lets the handler notice a client that has gone away.
+HEARTBEAT_SECONDS = 5.0
 
 
 class _ServientServer(ThreadingHTTPServer):
@@ -239,9 +243,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
             self.end_headers()
             self._streaming = True
-            for payload in subscription:
-                data = json.dumps(payload, separators=(",", ":"), allow_nan=False)
-                self._write_chunk(f"data: {data}\n\n".encode("utf-8"))
+            for data in subscription.encoded(HEARTBEAT_SECONDS):
+                self._write_chunk(b":\n\n" if data is None else b"data: " + data + b"\n\n")
             self._write_chunk(b"")
         finally:
             subscription.close()
@@ -273,10 +276,15 @@ class ServerHandle:
         self._thread = threading.Thread(
             target=server.serve_forever, daemon=True, name="wotsim-http"
         )
+        self._events_stop = threading.Event()
 
     def start(self) -> None:
-        for thing in self.things:
-            thing.start_events()
+        events = [(thing, name) for thing in self.things for name in thing.original_td.events]
+        self._events_thread = threading.Thread(
+            target=run_events, args=(events, RealClock(self._events_stop)),
+            daemon=True, name="wotsim-events",
+        )
+        self._events_thread.start()
         self._thread.start()
         logger.info("servient listening on %s", self.base_url)
 
@@ -293,8 +301,10 @@ class ServerHandle:
         return f"http://{self.address}:{self.port}"
 
     def stop(self) -> None:
-        """Stop schedulers, end event streams and kept-alive connections,
-        finish in-flight requests."""
+        """Stop the event scheduler, end event streams and kept-alive
+        connections, finish in-flight requests."""
+        self._events_stop.set()
+        self._events_thread.join(timeout=5.0)
         for thing in self.things:
             thing.stop_events()
         self._server.shutdown()

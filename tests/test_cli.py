@@ -12,7 +12,7 @@ import pytest
 import requests
 
 from wotsim import BindFailure, EventMode, ServientConfig, build_config, load_config_file
-from wotsim import cli
+from wotsim import cli, server
 from wotsim.cli import _parse_interval_flags, main, probe_target, ProbeError
 
 from conftest import (FIXTURE_DIR, fixture_text, free_port, handler_threads,
@@ -427,15 +427,17 @@ class TestProbe:
             ("property", "state"), ("action", "brew"), ("event", "error")]
         assert all(c.passed for c in checks)
 
-    def test_probe_closes_its_connections(self, coffee_text):
-        # No events: an event stream's handler notices a closed client only at
-        # its next emission, whoever the client is.
+    def test_probe_closes_its_connections(self, coffee_text, monkeypatch):
+        # An event stream's handler notices a closed client only when it writes;
+        # with the event in mode none, that write is a heartbeat.
+        monkeypatch.setattr(server, "HEARTBEAT_SECONDS", 0.1)
         td = json.loads(coffee_text)
         del td["events"]
-        with running_server([json.dumps(td)], seed=5) as handle:
-            before = handler_threads()
-            probe_target(f"{handle.base_url}/Coffee-Machine", duration=0.2, seed=3)
-            assert wait_for(lambda: handler_threads() <= before, 1.0)
+        for text in (json.dumps(td), coffee_text):
+            with running_server([text], seed=5) as handle:
+                before = handler_threads()
+                probe_target(f"{handle.base_url}/Coffee-Machine", duration=0.2, seed=3)
+                assert wait_for(lambda: handler_threads() <= before, 1.0)
 
     def test_probe_error_for_refused_connection(self):
         with pytest.raises(ProbeError):

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import logging
 import queue
 import threading
 import time
 
 import pytest
 
+from wotsim import runtime
 from wotsim import (
     EventMode,
     InvalidValue,
@@ -12,6 +15,7 @@ from wotsim import (
     MissingInput,
     InvalidInput,
     ReadOnlyProperty,
+    RealClock,
     ServientConfig,
     UnknownAction,
     UnknownEvent,
@@ -25,7 +29,7 @@ from wotsim import (
     validate,
 )
 
-from conftest import CountingClock, HorizonClock, fixture_text
+from conftest import CountingClock, HorizonClock, corpus_paths, fixture_text, running_server
 from oracles import json_diff
 
 BASE = "http://127.0.0.1:9099"
@@ -220,6 +224,38 @@ class TestEvents:
         thing.stop_events()
         assert list(thing.subscribe_event("error")) == []
 
+    def test_full_buffer_drops_the_oldest(self):
+        thing = make_thing("thermostat.td.json", seed=7)
+        sub = thing.subscribe_event("alarm")
+        emitted = [thing.emit_event("alarm")
+                   for _ in range(runtime.SUBSCRIPTION_BUFFER + 5)]
+        thing.stop_events()
+        for _ in range(5):  # reaches no ended subscription
+            thing.emit_event("alarm")
+        assert list(sub) == emitted[-runtime.SUBSCRIPTION_BUFFER:]
+        assert sub.dropped == 5
+
+    def test_one_encoding_shared_by_every_subscriber(self, monkeypatch):
+        calls = {"dumps": 0, "deepcopy": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        thing = make_thing("coffee-machine.td.json", seed=4)
+        subs = [thing.subscribe_event("error") for _ in range(3)]
+        counted(runtime.json, "dumps")
+        counted(runtime.copy, "deepcopy")
+        payload = thing.emit_event("error")
+        assert calls == {"dumps": 1, "deepcopy": 0}
+        first, second, third = (next(sub.encoded(0)) for sub in subs)
+        assert first is second is third
+        assert first == json.dumps(payload).encode("utf-8")
+
 
 class TestEventLoop:
     def test_random_intervals_stay_in_range(self):
@@ -262,6 +298,106 @@ class TestEventLoop:
         clock = CountingClock(budget=5)
         thing.run_event_loop("error", clock)
         assert clock.intervals == [0.25] * 5
+
+
+# Every draw fails unless the array comes out empty.
+FLAKY = {"type": "array", "items": {"type": "integer", "minimum": 0.2, "maximum": 0.8}}
+
+
+def _pair_thing(first: dict, **config_kw) -> VirtualThing:
+    """A Thing with two events: "first", with the given data schema, and
+    "steady"."""
+    events = {"first": {"data": first}, "steady": {"data": {"type": "integer"}}}
+    for event in events.values():
+        event["forms"] = [{"href": "/e"}]
+    td = parse_td(json.dumps({"title": "Pair", "events": events}))
+    return VirtualThing(td, ServientConfig(port=9099, **config_kw))
+
+
+def _drain(sub) -> list:
+    payloads = []
+    while True:
+        try:
+            payloads.append(sub.get(timeout=0))
+        except queue.Empty:
+            return payloads
+
+
+# sha256 over the gaps and payloads of every fixture event below, recorded
+# with the scheduler that ran one thread per event. Gaps are differences of
+# due times, so they are compared to the microsecond.
+SCHEDULE_DIGEST = "345275d8a8d0e1f3175f01d7047c233c6bfe4b5c7ea45dd075205536c60e2a8e"
+
+
+class TestScheduler:
+    def test_seeded_schedules_match_the_recorded_digest(self):
+        records = []
+        for path in corpus_paths():
+            td = parse_td(path.read_text(encoding="utf-8"))
+            for name in td.events:
+                for mode in (EventMode.fixed(0.75), EventMode.random_interval()):
+                    for seed in (1, 2, 3):
+                        thing = VirtualThing(td, ServientConfig(seed=seed, event_mode=mode))
+                        sub = thing.subscribe_event(name)
+                        clock = CountingClock(budget=20)
+                        thing.run_event_loop(name, clock)
+                        records.append([td.title, name, mode.kind, seed,
+                                        [f"{gap:.6f}" for gap in clock.intervals],
+                                        _drain(sub)])
+        assert len(records) == 24
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == SCHEDULE_DIGEST
+
+    def test_two_events_emit_in_due_order(self, monkeypatch):
+        thing = _pair_thing({"type": "integer"}, event_mode=EventMode.fixed(1.0),
+                            event_overrides={"first": EventMode.fixed(1.5)})
+        clock = HorizonClock(6.0)
+        emitted = []
+        emit = thing.emit_event
+        monkeypatch.setattr(thing, "emit_event",
+                            lambda name: emitted.append((clock.now, name)) or emit(name))
+        runtime.run_events([(thing, "steady"), (thing, "first")], clock)
+        assert emitted == [
+            (1.0, "steady"), (1.5, "first"), (2.0, "steady"), (3.0, "steady"),
+            (3.0, "first"), (4.0, "steady"), (4.5, "first"), (5.0, "steady"),
+            (6.0, "steady"), (6.0, "first")]
+
+    def test_failing_emission_is_logged_and_the_schedule_goes_on(self, caplog):
+        thing = _pair_thing(FLAKY, seed=1, event_mode=EventMode.fixed(1.0))
+        flaky, steady = thing.subscribe_event("first"), thing.subscribe_event("steady")
+        with caplog.at_level(logging.ERROR, logger="wotsim.runtime"):
+            runtime.run_events([(thing, "first"), (thing, "steady")], HorizonClock(10.0))
+        failures = [r for r in caplog.records if r.exc_info is not None]
+        assert all("'first'" in r.getMessage() for r in failures)
+        assert _drain(flaky) == [[]] * (10 - len(failures))
+        assert 0 < len(failures) < 10
+        assert len(_drain(steady)) == 10
+
+    def test_servient_runs_one_scheduler_thread(self):
+        texts = [fixture_text(name) for name in ("coffee-machine.td.json",
+                 "dice-box.td.json", "sensor-hub.td.json", "thermostat.td.json")]
+
+        def schedulers():
+            return [t.name for t in threading.enumerate() if t.name.startswith("wotsim-events")]
+
+        with running_server(texts, seed=1, event_mode=EventMode.fixed(0.05)):
+            assert schedulers() == ["wotsim-events"]
+        assert schedulers() == []
+
+    def test_real_clock_waits_from_due_time_to_due_time(self):
+        clock = RealClock(threading.Event())
+        started = time.monotonic()
+        for _ in range(10):
+            assert clock.wait(0.05) is False
+            time.sleep(0.02)  # the emission's own time
+        assert 0.5 <= time.monotonic() - started < 0.6
+        # Late by 0.2 s: return at once, then keep the gap from now on.
+        time.sleep(0.2)
+        started = time.monotonic()
+        assert clock.wait(0.05) is False
+        assert time.monotonic() - started < 0.01
+        clock.wait(0.05)
+        assert 0.045 <= time.monotonic() - started < 0.09
 
 
 class TestDeterminism:
