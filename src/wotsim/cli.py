@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import http.client
 import json
 import logging
 import signal
+import socket
 import sys
 import time
-
-import requests
+from urllib.parse import urlsplit, urlunsplit
 
 from .config import LOG_LEVELS, EventMode, build_config, load_config_file
 from .errors import BindFailure, DuplicateThingName, Unsatisfiable, WotSimError
@@ -32,6 +33,9 @@ from .validator import json_equal, validate
 logger = logging.getLogger(__name__)
 
 HTTP_TIMEOUT = 10.0
+# What a failed exchange raises: socket errors and timeouts, malformed or
+# cut-off HTTP, and (ValueError) a URL that cannot be parsed.
+_HTTP_ERRORS = (OSError, http.client.HTTPException, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,18 +223,23 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def probe_target(target: str, *, duration: float = 10.0,
                  seed: int | None = None) -> list[ProbeCheck]:
-    """Fetch a TD (HTTP URL or local file) and exercise every affordance."""
-    with requests.Session() as session:
+    """Fetch a TD (HTTP URL or local file) and exercise every affordance.
+
+    Requests share one kept-alive connection per origin, and every
+    connection is closed before this returns or raises.
+    """
+    connections: dict[tuple[str, str], http.client.HTTPConnection] = {}
+    try:
         rng = RandomSource(seed)
         if target.startswith(("http://", "https://")):
             try:
-                response = session.get(target, timeout=HTTP_TIMEOUT)
-            except requests.RequestException as exc:
+                status, body = _request(connections, "GET", target)
+            except _HTTP_ERRORS as exc:
                 raise ProbeError(f"cannot reach {target}: {exc}") from exc
-            if response.status_code != 200:
-                raise ProbeError(f"{target} answered {response.status_code}, expected 200")
+            if status != 200:
+                raise ProbeError(f"{target} answered {status}, expected 200")
             try:
-                td = parse_td(response.content)
+                td = parse_td(body)
             except WotSimError as exc:
                 raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
             fallback_base = target.rstrip("/")
@@ -250,12 +259,64 @@ def probe_target(target: str, *, duration: float = 10.0,
 
         checks: list[ProbeCheck] = []
         for name, prop in td.properties.items():
-            checks.append(_check_property(session, name, prop, base, rng))
+            checks.append(_check_property(connections, name, prop, base, rng))
         for name, action in td.actions.items():
-            checks.append(_check_action(session, name, action, base, rng))
+            checks.append(_check_action(connections, name, action, base, rng))
         for name, event in td.events.items():
-            checks.append(_check_event(session, name, event, base, duration))
+            checks.append(_check_event(name, event, base, duration))
         return checks
+    finally:
+        for connection in connections.values():
+            connection.close()
+
+
+def _split(url: str) -> tuple[tuple[str, str], str]:
+    """The origin (scheme, host[:port]) and the request target of a URL."""
+    parts = urlsplit(url)
+    return (parts.scheme, parts.netloc), urlunsplit(("", "", parts.path or "/", parts.query, ""))
+
+
+def _connect(origin: tuple[str, str]) -> http.client.HTTPConnection:
+    """An unopened connection to an origin. An https origin gets its
+    certificate checked against the system's CA store."""
+    scheme, netloc = origin
+    if scheme == "http":
+        return http.client.HTTPConnection(netloc, timeout=HTTP_TIMEOUT)
+    if scheme == "https":
+        return http.client.HTTPSConnection(netloc, timeout=HTTP_TIMEOUT)
+    raise http.client.InvalidURL(f"unsupported URL scheme {scheme!r}")
+
+
+def _request(connections: dict, method: str, url: str,
+             body: bytes | None = None) -> tuple[int, bytes]:
+    """Send one request on the kept-alive connection to the URL's origin and
+    return its status and whole body. A body is sent as JSON."""
+    origin, target = _split(url)
+    if origin not in connections:
+        connections[origin] = _connect(origin)
+    connection = connections[origin]
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    try:
+        connection.request(method, target, body, headers)
+        with connection.getresponse() as response:
+            return response.status, response.read()
+    except _HTTP_ERRORS:
+        connection.close()  # a half-done exchange leaves it unusable; the next request reopens
+        raise
+
+
+def _open_stream(url: str) -> tuple[http.client.HTTPResponse, socket.socket]:
+    """GET an event stream on a connection of its own. Returns the response,
+    its headers read, and its socket, which the caller closes."""
+    origin, target = _split(url)
+    connection = _connect(origin)
+    try:
+        connection.request("GET", target, headers={"Accept": "text/event-stream"})
+        sock = connection.sock
+        return connection.getresponse(), sock
+    except _HTTP_ERRORS:
+        connection.close()
+        raise
 
 
 def _form_url(forms, base) -> str | None:
@@ -275,19 +336,18 @@ def _violation_summary(result) -> str:
     return "; ".join(parts)
 
 
-def _check_property(session, name, prop, base, rng) -> ProbeCheck:
+def _check_property(connections, name, prop, base, rng) -> ProbeCheck:
     url = _form_url(prop.forms, base)
     if url is None:
         return ProbeCheck(name, "property", "FAIL", "no usable form URL")
     try:
-        response = session.get(url, timeout=HTTP_TIMEOUT)
-    except requests.RequestException as exc:
+        status, body = _request(connections, "GET", url)
+    except _HTTP_ERRORS as exc:
         return ProbeCheck(name, "property", "FAIL", f"GET failed: {exc}")
-    if response.status_code != 200:
-        return ProbeCheck(name, "property", "FAIL",
-                          f"GET answered {response.status_code}")
+    if status != 200:
+        return ProbeCheck(name, "property", "FAIL", f"GET answered {status}")
     try:
-        value = json.loads(response.content)
+        value = json.loads(body)
     except ValueError:
         return ProbeCheck(name, "property", "FAIL", "response body is not JSON")
     outcome = validate(prop.data_schema, value)
@@ -296,59 +356,56 @@ def _check_property(session, name, prop, base, rng) -> ProbeCheck:
                           f"read value violates its schema: {_violation_summary(outcome)}")
     notes = ["read conforms"]
     if not prop.read_only:
-        note = _check_property_write(session, url, prop, rng)
+        note = _check_property_write(connections, url, prop, rng)
         if note.startswith("FAIL:"):
             return ProbeCheck(name, "property", "FAIL", note[5:].strip())
         notes.append(note)
     return ProbeCheck(name, "property", "PASS", "; ".join(notes))
 
 
-def _check_property_write(session, url, prop, rng) -> str:
+def _check_property_write(connections, url, prop, rng) -> str:
     try:
         value = generate(prop.data_schema, rng)
     except Unsatisfiable:
         return "write skipped: no conforming value could be built"
     try:
-        response = session.put(url, json=value, timeout=HTTP_TIMEOUT)
-    except requests.RequestException as exc:
+        status, _ = _request(connections, "PUT", url, json.dumps(value).encode())
+    except _HTTP_ERRORS as exc:
         return f"FAIL: PUT failed: {exc}"
-    if response.status_code == 405:
+    if status == 405:
         return "write rejected as read-only (405)"
-    if response.status_code not in (200, 204):
-        return f"FAIL: PUT answered {response.status_code}"
+    if status not in (200, 204):
+        return f"FAIL: PUT answered {status}"
     try:
-        back = session.get(url, timeout=HTTP_TIMEOUT)
-        stored = json.loads(back.content)
-    except (requests.RequestException, ValueError) as exc:
+        _, body = _request(connections, "GET", url)
+        stored = json.loads(body)
+    except _HTTP_ERRORS as exc:  # its ValueError covers a body that is not JSON
         return f"FAIL: readback after write failed: {exc}"
     if not json_equal(stored, value):
         return "FAIL: written value did not persist"
     return "write persisted"
 
 
-def _check_action(session, name, action, base, rng) -> ProbeCheck:
+def _check_action(connections, name, action, base, rng) -> ProbeCheck:
     url = _form_url(action.forms, base)
     if url is None:
         return ProbeCheck(name, "action", "FAIL", "no usable form URL")
+    payload = None
     if action.input is not None:
         try:
-            payload = generate(action.input, rng)
+            payload = json.dumps(generate(action.input, rng)).encode()
         except Unsatisfiable:
             return ProbeCheck(name, "action", "FAIL",
                               "cannot build a conforming input value")
-        kwargs = {"json": payload}
-    else:
-        kwargs = {}
     try:
-        response = session.post(url, timeout=HTTP_TIMEOUT, **kwargs)
-    except requests.RequestException as exc:
+        status, body = _request(connections, "POST", url, payload)
+    except _HTTP_ERRORS as exc:
         return ProbeCheck(name, "action", "FAIL", f"POST failed: {exc}")
-    if not 200 <= response.status_code < 300:
-        return ProbeCheck(name, "action", "FAIL",
-                          f"POST answered {response.status_code}")
+    if not 200 <= status < 300:
+        return ProbeCheck(name, "action", "FAIL", f"POST answered {status}")
     if action.output is not None:
         try:
-            output = json.loads(response.content)
+            output = json.loads(body)
         except ValueError:
             return ProbeCheck(name, "action", "FAIL", "output body is not JSON")
         outcome = validate(action.output, output)
@@ -356,54 +413,47 @@ def _check_action(session, name, action, base, rng) -> ProbeCheck:
             return ProbeCheck(name, "action", "FAIL",
                               f"output violates its schema: {_violation_summary(outcome)}")
         return ProbeCheck(name, "action", "PASS", "invoked, output conforms")
-    return ProbeCheck(name, "action", "PASS",
-                      f"invoked ({response.status_code})")
+    return ProbeCheck(name, "action", "PASS", f"invoked ({status})")
 
 
-def _check_event(session, name, event, base, duration) -> ProbeCheck:
+def _check_event(name, event, base, duration) -> ProbeCheck:
     url = _form_url(event.forms, base)
     if url is None:
         return ProbeCheck(name, "event", "FAIL", "no usable form URL")
     schema = event.data if event.data is not None else DataSchema()
-    read_timeout = max(duration, 0.5)
     try:
-        response = session.get(
-            url,
-            headers={"Accept": "text/event-stream"},
-            stream=True,
-            timeout=(HTTP_TIMEOUT, read_timeout),
-        )
-    except requests.RequestException as exc:
+        response, sock = _open_stream(url)
+    except _HTTP_ERRORS as exc:
         return ProbeCheck(name, "event", "FAIL", f"subscribe failed: {exc}")
-    if response.status_code != 200:
-        response.close()
-        return ProbeCheck(name, "event", "FAIL",
-                          f"subscribe answered {response.status_code}")
     received = 0
     problem = None
     deadline = time.monotonic() + duration
     try:
-        for raw in response.iter_lines():
-            if raw:
-                line = raw.decode("utf-8")
-                if line.startswith("data:"):
-                    try:
-                        payload = json.loads(line[len("data:"):].strip())
-                    except ValueError:
-                        problem = "event payload is not JSON"
-                        break
-                    outcome = validate(schema, payload)
-                    if not outcome.valid:
-                        problem = (f"payload violates its schema: "
-                                   f"{_violation_summary(outcome)}")
-                        break
-                    received += 1
-            if time.monotonic() >= deadline:
-                break
-    except requests.RequestException:
-        pass  # stream closed or idle past the window; whatever arrived counts
+        if response.status != 200:
+            return ProbeCheck(name, "event", "FAIL", f"subscribe answered {response.status}")
+        # Each read may wait only for what is left of the window.
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            line = response.readline()
+            if not line:
+                break  # the stream ended
+            if line.startswith(b"data:"):
+                try:
+                    payload = json.loads(line[len(b"data:"):])
+                except ValueError:
+                    problem = "event payload is not JSON"
+                    break
+                outcome = validate(schema, payload)
+                if not outcome.valid:
+                    problem = (f"payload violates its schema: "
+                               f"{_violation_summary(outcome)}")
+                    break
+                received += 1
+    except _HTTP_ERRORS:
+        pass  # stream closed or silent to the end of the window; whatever arrived counts
     finally:
         response.close()
+        sock.close()
     if problem:
         return ProbeCheck(name, "event", "FAIL", problem)
     if received == 0:

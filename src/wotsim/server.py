@@ -46,6 +46,9 @@ HEARTBEAT_SECONDS = 5.0
 
 class _ServientServer(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's listen backlog of 5 overflows when tens of clients
+    # connect at once, and each dropped SYN costs its client a 1 s retry.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address: tuple[str, int], things: dict[str, VirtualThing]):
         self.things = things  # keyed by (decoded) Thing title
@@ -302,7 +305,7 @@ class ServerHandle:
 
     def stop(self) -> None:
         """Stop the event scheduler, end event streams and kept-alive
-        connections, finish in-flight requests."""
+        connections, finish in-flight responses."""
         self._events_stop.set()
         self._events_thread.join(timeout=5.0)
         for thing in self.things:

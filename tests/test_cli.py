@@ -442,3 +442,47 @@ class TestProbe:
     def test_probe_error_for_refused_connection(self):
         with pytest.raises(ProbeError):
             probe_target("http://127.0.0.1:9/")
+
+    def test_probe_error_releases_its_connection(self, coffee_text):
+        with running_server([coffee_text]) as handle:
+            before = handler_threads()
+            with pytest.raises(ProbeError) as caught:  # kept, with its traceback
+                probe_target(f"{handle.base_url}/Tea-Kettle")
+            assert "404" in str(caught.value)
+            assert wait_for(lambda: handler_threads() <= before, 1.0)
+
+    def test_event_watch_ends_with_its_window(self, coffee_text, monkeypatch):
+        # A heartbeat every 0.4 s keeps the stream from ever idling for the
+        # whole 0.5 s window; the watch must still end when the window does.
+        monkeypatch.setattr(server, "HEARTBEAT_SECONDS", 0.4)
+        td = json.loads(coffee_text)
+        del td["properties"], td["actions"]
+        with running_server([json.dumps(td)], seed=5) as handle:
+            started = time.monotonic()
+            checks = probe_target(f"{handle.base_url}/Coffee-Machine", duration=0.5)
+            elapsed = time.monotonic() - started
+        assert [c.result for c in checks] == ["PASS"]
+        assert elapsed < 0.5 + 0.15
+
+    def test_null_action_input_is_sent(self):
+        td = {"title": "Switch", "actions": {"reset": {
+            "input": {"type": "null"}, "forms": [{"href": "/actions/reset"}]}}}
+        with running_server([json.dumps(td)]) as handle:
+            checks = probe_target(f"{handle.base_url}/Switch", duration=0.2)
+        assert [(c.result, c.detail) for c in checks] == [("PASS", "invoked (204)")]
+
+
+def test_probe_needs_no_third_party_package(coffee_text):
+    # `wotsim run` starts faster without them, and `pip install wotsim` pulls
+    # in nothing else. A blocked `requests` fails any late import of it too.
+    script = ("import sys\n"
+              "import wotsim.cli\n"
+              "if {'requests', 'urllib3'} & set(sys.modules):\n"
+              "    sys.exit('imported by wotsim.cli')\n"
+              "sys.modules['requests'] = None\n"
+              "sys.exit(wotsim.cli.main(sys.argv[1:]))\n")
+    with running_server([coffee_text], seed=5) as handle:
+        done = subprocess.run([sys.executable, "-c", script, "probe",
+                               f"{handle.base_url}/Coffee-Machine", "--duration", "0.2"],
+                              capture_output=True, timeout=30)
+    assert done.returncode == 0, done.stderr.decode()

@@ -275,6 +275,29 @@ class TestServerLifecycle:
             stopper.join()
         assert seen >= 1
 
+    def test_connect_burst_is_not_dropped(self):
+        # A connect refused by a full listen backlog is retried by the client's
+        # kernel after 1 s, so a slow connect means the backlog overflowed.
+        with running_server([fixture_text("thermostat.td.json")], seed=4,
+                            event_mode=EventMode.fixed(0.005)) as handle:
+            address = ("127.0.0.1", handle.port)
+            sockets, connect_s = [], []
+            try:
+                for _ in range(10):  # busy event streams hold the servient's threads
+                    stream = socket.create_connection(address, timeout=TIMEOUT)
+                    sockets.append(stream)
+                    stream.sendall(b"GET /Thermostat-42/events/alarm HTTP/1.1\r\n"
+                                   b"Host: x\r\nAccept: text/event-stream\r\n\r\n")
+                    assert stream.recv(64).startswith(b"HTTP/1.1 200")
+                for _ in range(40):
+                    started = time.monotonic()
+                    sockets.append(socket.create_connection(address, timeout=TIMEOUT))
+                    connect_s.append(time.monotonic() - started)
+            finally:
+                for sock in sockets:
+                    sock.close()
+        assert max(connect_s) < 0.5
+
     def test_concurrent_reads_are_all_served(self):
         with running_server([fixture_text("thermostat.td.json")],
                             seed=4) as handle:
