@@ -50,14 +50,8 @@ class RandomSource:
         child_seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
         return RandomSource(child_seed)
 
-    def choice(self, seq):
-        return self._random.choice(seq)
-
     def randint(self, a: int, b: int) -> int:
         return self._random.randint(a, b)
-
-    def randrange(self, n: int) -> int:
-        return self._random.randrange(n)
 
     def uniform(self, a: float, b: float) -> float:
         return self._random.uniform(a, b)
@@ -72,7 +66,7 @@ def generate(schema: DataSchema, rng: RandomSource, depth: int = 0) -> Json:
     Raises Unsatisfiable when no conforming value exists (e.g. const/enum
     conflicting with the declared type, or an empty integer range).
     """
-    return prepare(schema).draw(rng, depth)
+    return prepare(schema).draw(rng._random, depth)
 
 
 def minimal_value(schema: DataSchema) -> Json:
@@ -92,6 +86,33 @@ def prepare(schema: DataSchema) -> Plan:
 
 
 _ONE_OF_FAILURE = "every oneOf branch conflicts with the enclosing keywords"
+_BOOLEANS = (False, True)
+
+
+def _draw_member(value: Json):
+    """Draw of one fixed value: a fresh copy of a container, a scalar as is."""
+    if isinstance(value, (list, dict)):
+        return lambda r, depth: copy.deepcopy(value)
+    return lambda r, depth: value
+
+
+def _draw_one_of(branches: list):
+    """Draw from one of the (nesting depth, draw) branches: a random one, or
+    the shallowest at the depth cap; a branch whose draw raises Unsatisfiable
+    is dropped and another tried."""
+    def draw_one_of(r, depth):
+        candidates = list(branches)
+        while candidates:
+            if depth >= DEPTH_CAP:
+                index = min(range(len(candidates)), key=lambda i: candidates[i][0])
+            else:
+                index = r.randrange(len(candidates))
+            try:
+                return candidates[index][1](r, depth)
+            except Unsatisfiable:
+                candidates.pop(index)
+        raise Unsatisfiable(_ONE_OF_FAILURE)
+    return draw_one_of
 
 
 class Plan:
@@ -102,12 +123,17 @@ class Plan:
 
     ``failure`` is the Unsatisfiable message that every draw raises before
     using the random source, or None; ``certain_failure`` also finds the
-    draws that all fail only after using it.
+    draws that all fail only after using it. ``draw(r, depth)`` is the draw
+    compiled to a closure over a ``random.Random``.
     """
 
     def __init__(self, schema: DataSchema):
         self.failure: str | None = None
         self._minimal: Json | object = MISSING
+        self._derive(schema)
+        self.draw = self._compile_draw()
+
+    def _derive(self, schema: DataSchema) -> None:
         if is_present(schema.const_value):
             self.kind, self._minimal = "const", schema.const_value
             if not validate(schema, schema.const_value).valid:
@@ -154,49 +180,73 @@ class Plan:
             self.properties = {n: prepare(s) for n, s in (schema.properties or {}).items()}
             self.required = schema.required or ()
 
-    def draw(self, rng: RandomSource, depth: int) -> Json:
+    def _compile_draw(self):
+        """The draw of this plan's kind as a closure taking (random.Random,
+        depth). Member draws are bound here, so a draw dispatches on nothing."""
         if self.failure is not None:
-            raise Unsatisfiable(self.failure)
+            failure = self.failure
+
+            def draw_nothing(r, depth):
+                raise Unsatisfiable(failure)
+            return draw_nothing
         kind = self.kind
         if kind == "const":
-            return copy.deepcopy(self._minimal)
+            return _draw_member(self._minimal)
         if kind == "enum":
-            return copy.deepcopy(rng.choice(self.members))
+            members = self.members
+            if any(isinstance(m, (list, dict)) for m in members):
+                draws = [_draw_member(m) for m in members]
+                return lambda r, depth: r.choice(draws)(r, depth)
+            return lambda r, depth: r.choice(members)
         if kind == "oneOf":
-            candidates = list(self.branches)
-            while candidates:
-                if depth >= DEPTH_CAP:
-                    index = min(range(len(candidates)), key=lambda i: candidates[i][0])
-                else:
-                    index = rng.randrange(len(candidates))
-                try:
-                    return candidates[index][1].draw(rng, depth)
-                except Unsatisfiable:
-                    candidates.pop(index)
-            raise Unsatisfiable(_ONE_OF_FAILURE)
+            return _draw_one_of([(nesting, plan.draw) for nesting, plan in self.branches])
         if kind == "null":
-            return None
+            return lambda r, depth: None
         if kind == "boolean":
-            return rng.choice((False, True))
+            return lambda r, depth: r.choice(_BOOLEANS)
         if kind == "integer":
-            return rng.randint(self.lo, self.hi)
+            lo, hi = self.lo, self.hi
+            return lambda r, depth: r.randint(lo, hi)
         if kind == "number":
-            draw = rng.uniform(self.lo, self.hi)
-            rounded = round(draw, 6)
-            # Rounding must not escape a very narrow range.
-            return rounded if self.lo <= rounded <= self.hi else draw
+            lo, hi = self.lo, self.hi
+            span = hi - lo  # random.uniform's own arithmetic, bit for bit
+
+            def draw_number(r, depth):
+                drawn = lo + span * r.random()
+                rounded = round(drawn, 6)
+                # Rounding must not escape a very narrow range.
+                return rounded if lo <= rounded <= hi else drawn
+            return draw_number
         if kind == "string":
-            length = rng.randint(4, 16)
-            return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
-        if depth >= DEPTH_CAP:
-            return self.minimal()
+            def draw_string(r, depth):
+                choice = r.choice
+                return "".join([choice(string.ascii_lowercase)
+                                for _ in range(r.randint(4, 16))])
+            return draw_string
+        minimal = self.minimal
         if kind == "array":
-            return [self.items.draw(rng, depth + 1) for _ in range(rng.randint(self.lo, self.hi))]
-        # Every described property is included, not only the required ones.
-        result = {name: plan.draw(rng, depth + 1) for name, plan in self.properties.items()}
-        for name in self.required:
-            result.setdefault(name, None)  # required but never described
-        return result
+            draw_item, lo, hi = self.items.draw, self.lo, self.hi
+
+            def draw_array(r, depth):
+                if depth >= DEPTH_CAP:
+                    return minimal()
+                depth += 1
+                return [draw_item(r, depth) for _ in range(r.randint(lo, hi))]
+            return draw_array
+        members = [(name, plan.draw) for name, plan in self.properties.items()]
+        undescribed = [name for name in dict.fromkeys(self.required)
+                       if name not in self.properties]
+
+        def draw_object(r, depth):
+            if depth >= DEPTH_CAP:
+                return minimal()
+            depth += 1
+            # Every described property is included, not only the required ones.
+            result = {name: draw(r, depth) for name, draw in members}
+            for name in undescribed:
+                result[name] = None  # required but never described
+            return result
+        return draw_object
 
     def certain_failure(self, depth: int = 0) -> str | None:
         """The Unsatisfiable message when every draw at this depth raises, else

@@ -40,6 +40,11 @@ from .validator import Violation, compile_checker, validate
 logger = logging.getLogger(__name__)
 
 
+def _encode(value: Json) -> bytes:
+    """The UTF-8 JSON body of a property value."""
+    return json.dumps(value, ensure_ascii=False, allow_nan=False).encode("utf-8")
+
+
 def url_segment(name: str) -> str:
     """Percent-encoded URL path segment for a Thing title or affordance name."""
     return quote(name, safe="")
@@ -192,7 +197,7 @@ class VirtualThing:
         self.url_segment = url_segment(td.title)
         self.exposed_td = rewrite_td(td, self.base_url)
         self._lock = threading.RLock()
-        self._store: dict[str, Json] = {}  # written values only; absent = never written
+        self._store: dict[str, bytes] = {}  # encoded written values; absent = never written
         self._subscribers: dict[str, set[EventSubscription]] = {
             name: set() for name in td.events
         }
@@ -206,16 +211,31 @@ class VirtualThing:
     # --- properties -----------------------------------------------------
 
     def read_property(self, name: str) -> Json:
-        """Written value if one exists, else a fresh value from the schema."""
+        """Written value if one exists (a fresh copy), else a fresh value from
+        the schema."""
         with self._lock:
-            aff = self.original_td.properties.get(name)
-            if aff is None:
-                raise UnknownProperty(f"no property named {name!r}")
-            if name in self._store:
-                return copy.deepcopy(self._store[name])
-            return generate(aff.data_schema, self.rng)
+            encoded = self._written(name)
+            if encoded is None:
+                return generate(self.original_td.properties[name].data_schema, self.rng)
+        return json.loads(encoded)
+
+    def read_property_json(self, name: str) -> bytes:
+        """read_property's value as the UTF-8 JSON the HTTP binding serves: a
+        written value as it was encoded when written, else a fresh draw."""
+        with self._lock:
+            encoded = self._written(name)
+        return _encode(self.read_property(name)) if encoded is None else encoded
+
+    def _written(self, name: str) -> bytes | None:
+        """Encoded written value of the property, None if never written."""
+        if name not in self.original_td.properties:
+            raise UnknownProperty(f"no property named {name!r}")
+        return self._store.get(name)
 
     def write_property(self, name: str, value: Json) -> None:
+        """Store a conforming value, encoded now so reads need not encode it.
+        A value JSON cannot carry (NaN, infinities, lone surrogates) is refused
+        like a non-conforming one."""
         with self._lock:
             aff = self.original_td.properties.get(name)
             if aff is None:
@@ -228,7 +248,13 @@ class VirtualThing:
                     f"value does not conform to the schema of property {name!r}",
                     result.violations,
                 )
-            self._store[name] = copy.deepcopy(value)
+            try:
+                self._store[name] = _encode(value)
+            except (ValueError, TypeError) as exc:
+                raise InvalidValue(
+                    f"value of property {name!r} is not JSON",
+                    [Violation("", "type", f"not JSON: {exc}")],
+                ) from exc
 
     def read_all_properties(self) -> dict[str, Json]:
         return {name: self.read_property(name) for name in self.original_td.properties}

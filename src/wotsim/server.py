@@ -12,10 +12,13 @@ and maps the domain errors the handler raises to statuses.
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import json
 import logging
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
@@ -92,6 +95,12 @@ class _ServientServer(ThreadingHTTPServer):
         logger.exception("request from %s failed", client_address[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The Date header value of a second; responses in the same second share it."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
 class _Refused(Exception):
     """A request refused before it reaches a Thing; args are (status, message)."""
 
@@ -105,7 +114,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     server: _ServientServer
 
     def log_message(self, fmt, *args):
-        logger.debug("%s %s", self.address_string(), fmt % args)
+        if logger.isEnabledFor(logging.DEBUG):  # formatting costs every response
+            logger.debug("%s %s", self.address_string(), fmt % args)
+
+    def date_time_string(self, timestamp=None):
+        return _http_date(int(time.time() if timestamp is None else timestamp))
 
     # --- responses -------------------------------------------------------
 
@@ -216,7 +229,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._respond_json(200, thing.read_all_properties())
 
     def _read_property(self, thing: VirtualThing, name: str):
-        self._respond_json(200, thing.read_property(name))
+        self._respond(200, thing.read_property_json(name))
 
     def _write_property(self, thing: VirtualThing, name: str):
         thing.write_property(name, _loads(self._read_body().decode("utf-8")))

@@ -7,6 +7,7 @@ keyword subset is checked; an empty schema accepts everything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import MISSING, DataSchema, Json
@@ -77,11 +78,13 @@ class ValidationResult:
 
 
 def validate(schema: DataSchema, value: Json) -> ValidationResult:
-    return ValidationResult(_violations(compile_checker(schema), value))
+    check = compile_checker(schema)
+    return ValidationResult([] if check.conforms(value) else _violations(check, value))
 
 
 def compile_checker(schema: DataSchema):
     """The schema's checker, compiled on first use and kept on the schema.
+    Its ``conforms(value)`` answers only whether the value has no violations.
     Threads that race here compile equal checkers, and either may be kept."""
     check = schema.checker
     if check is None:
@@ -92,7 +95,8 @@ def compile_checker(schema: DataSchema):
 
 def _compile(schema: DataSchema):
     """A closure that appends a value's violations at a position (see _add) to
-    a list. It tests only the keywords the schema has, in the order coded below."""
+    a list, with a ``conforms`` attribute. It tests only the keywords the
+    schema has, in the order coded below."""
     minimum, maximum = schema.minimum, schema.maximum
     bounded = minimum is not None or maximum is not None
     expected = schema.type
@@ -114,7 +118,7 @@ def _compile(schema: DataSchema):
             _add(out, where, "enum", "value is not one of the enumerated values")
         if const is not MISSING and not json_equal(value, const):
             _add(out, where, "const", "value differs from the const value")
-        if branches is not None and all(_violations(branch, value) for branch in branches):
+        if branches is not None and not any(branch.conforms(value) for branch in branches):
             _add(out, where, "oneOf", "value matches none of the oneOf branches")
         if isinstance(value, list):
             count = len(value)
@@ -138,6 +142,61 @@ def _compile(schema: DataSchema):
             if maximum is not None and value > maximum:
                 _add(out, where, "maximum", f"{value} is above the maximum {maximum}")
 
+    # The pass/fail form: the same keywords, stopping at the first failure.
+    # Number, integer and string-enum leaves get one exact type test and
+    # their bounds or members; a leaf value of any other type is left to the
+    # collector. The collector never asks a member's pass/fail form before
+    # descending into it, so a failing value costs two walks, not 2**depth.
+    plain = enum is None and const is MISSING and branches is None
+    if plain and expected in ("number", "integer"):
+        lo = -math.inf if minimum is None else minimum
+        hi = math.inf if maximum is None else maximum
+        exact = {int} if expected == "integer" else {int, float}
+
+        def conforms(value: Json) -> bool:
+            if type(value) in exact:
+                return not (value < lo or value > hi)  # NaN conforms to any bounds
+            return not _violations(check, value)
+    elif (const is MISSING and branches is None and expected in (None, "string")
+          and enum is not None and all(type(member) is str for member in enum)):
+        words = frozenset(enum)
+
+        def conforms(value: Json) -> bool:
+            return type(value) is str and value in words
+    else:
+        items_conform = None if items is None else items.conforms
+        member_tests = [(name, member.conforms) for name, _, member in members]
+
+        def conforms(value: Json) -> bool:
+            if is_expected is not None and not is_expected(value):
+                return False
+            if enum is not None and not any(json_equal(value, member) for member in enum):
+                return False
+            if const is not MISSING and not json_equal(value, const):
+                return False
+            if branches is not None and not any(branch.conforms(value) for branch in branches):
+                return False
+            if isinstance(value, list):
+                count = len(value)
+                if min_items is not None and count < min_items:
+                    return False
+                if max_items is not None and count > max_items:
+                    return False
+                return items_conform is None or all(map(items_conform, value))
+            if isinstance(value, dict):
+                for name in required:
+                    if name not in value:
+                        return False
+                for name, test in member_tests:
+                    if name in value and not test(value[name]):
+                        return False
+                return True
+            if bounded and _is_number(value):
+                return not ((minimum is not None and value < minimum)
+                            or (maximum is not None and value > maximum))
+            return True
+
+    check.conforms = conforms
     return check
 
 

@@ -113,3 +113,50 @@ def test_checking_prepares_no_plan(caplog):
         assert validate(DataSchema(), None).valid
     assert not [r for r in caplog.records if r.name == "wotsim.generator"]
     assert untyped_branch.plan is None and untyped_branch.checker is not None
+
+
+# --- the pass/fail form agrees with the collecting checker -------------------------
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Values that only an exact type test or an inline bound test could get wrong.
+EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), True, False, _Int(3), _Int(-999),
+               _Str("heat"), _Str("north"), 2.0, -0.0, 10**30, "Ready"]
+
+
+def _planted(value, edge, rng: random.Random):
+    """A copy of the value with one randomly chosen leaf replaced by `edge`."""
+    if isinstance(value, dict) and value:
+        key = rng.choice(sorted(value))
+        return {**value, key: _planted(value[key], edge, rng)}
+    if isinstance(value, list) and value:
+        index = rng.randrange(len(value))
+        return value[:index] + [_planted(value[index], edge, rng)] + value[index + 1:]
+    return edge
+
+
+def test_conforms_agrees_with_the_violations_found():
+    checked = {True: 0, False: 0}
+    for schema in corpus():
+        check = wotsim.validator.compile_checker(schema)
+        rng = random.Random(1)
+        values = _values(schema)
+        values += EDGE_VALUES + [_planted(v, edge, rng) for v in values for edge in EDGE_VALUES]
+        for value in values:
+            conforms = check.conforms(value)
+            assert conforms == (not wotsim.validator._violations(check, value)), (schema, value)
+            checked[conforms] += 1
+    assert min(checked.values()) > 1000, checked
+
+
+def test_nan_conforms_to_bounds_as_the_collector_says():
+    schema = extract_schema({"type": "number", "minimum": 10, "maximum": 25})
+    assert wotsim.validator.compile_checker(schema).conforms(float("nan"))
+    assert validate(schema, float("nan")).valid
+    assert not wotsim.validator.compile_checker(schema).conforms(float("inf"))

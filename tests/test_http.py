@@ -1,8 +1,11 @@
+import copy
+import email.utils
 import json
 import logging
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -11,6 +14,7 @@ from wotsim import (
     BindFailure,
     DuplicateThingName,
     EventMode,
+    InvalidValue,
     ServientConfig,
     VirtualThing,
     parse_td,
@@ -353,6 +357,61 @@ class TestNonFiniteNumbers:
         assert single.status_code == 200 and everything.status_code == 200
 
 
+NOTE_TD = json.dumps({
+    "title": "Notebook",
+    "properties": {"note": {"type": "object", "forms": [{"href": "/p"}], "properties": {
+        "text": {"type": "string"},
+        "tags": {"type": "array", "items": {"type": "string"}},
+        "level": {"type": "number"},
+    }}},
+})
+
+
+class TestWrittenValues:
+    def test_get_serves_the_value_as_encoded_when_written(self, monkeypatch):
+        value = {"text": "crème brûlée ✓", "tags": ["ü", "\u2028"], "level": 0.1}
+        calls = {"dumps": 0, "deepcopy": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        with running_server([NOTE_TD]) as handle:
+            url = f"{handle.base_url}/Notebook/properties/note"
+            put = requests.put(url, data=json.dumps(value).encode(), timeout=TIMEOUT,
+                               headers={"Content-Type": "application/json"})
+            counted(json, "dumps")
+            counted(copy, "deepcopy")
+            got = requests.get(url, timeout=TIMEOUT)
+        assert put.status_code == 204 and got.status_code == 200
+        assert calls == {"dumps": 0, "deepcopy": 0}
+        assert got.content == json.dumps(value, ensure_ascii=False,
+                                         allow_nan=False).encode("utf-8")
+
+    def test_lone_surrogate_write_is_refused_and_reads_stay_json(self):
+        with running_server([NOTE_TD]) as handle:
+            url = f"{handle.base_url}/Notebook/properties/note"
+            put = requests.put(url, data=b'{"text": "\\ud800"}', timeout=TIMEOUT,
+                               headers={"Content-Type": "application/json"})
+            got = requests.get(url, timeout=TIMEOUT)
+        assert put.status_code == 400
+        assert "'note'" in put.json()["error"]
+        assert got.status_code == 200
+
+    def test_library_nan_write_is_refused_and_reads_stay_json(self):
+        with running_server([fixture_text("thermostat.td.json")]) as handle:
+            url = f"{handle.base_url}/Thermostat-42/properties/setpoint"
+            requests.put(url, json=12.5, timeout=TIMEOUT)
+            with pytest.raises(InvalidValue, match="'setpoint'"):
+                handle.things[0].write_property("setpoint", float("nan"))
+            got = requests.get(url, timeout=TIMEOUT)
+        assert got.status_code == 200 and got.content == b"12.5"
+
+
 class TestDeepNesting:
     LIST_TD = json.dumps({
         "title": "Shelf",
@@ -661,3 +720,42 @@ def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, 
                 if r.name == "wotsim.server" and r.exc_info is not None]
     assert failures and "parser exploded" in str(failures[0].exc_info[1])
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_debug_line_is_formatted_only_when_debug_is_on(coffee_text, monkeypatch, caplog):
+    formatted = []
+    original = server._RequestHandler.address_string
+
+    def counted(self):
+        formatted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(server._RequestHandler, "address_string", counted)
+    with running_server([coffee_text]) as handle:
+        url = f"{handle.base_url}/Coffee-Machine/properties/state"
+        with caplog.at_level(logging.INFO, logger="wotsim.server"):
+            assert requests.get(url, timeout=TIMEOUT).status_code == 200
+        assert formatted == []
+        with caplog.at_level(logging.DEBUG, logger="wotsim.server"):
+            assert requests.get(url, timeout=TIMEOUT).status_code == 200
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "wotsim.server" and r.levelno == logging.DEBUG]
+    assert lines == ['127.0.0.1 "GET /Coffee-Machine/properties/state HTTP/1.1" 200 -']
+
+
+def test_date_is_formatted_once_per_second(monkeypatch):
+    formatted = []
+    original = email.utils.formatdate
+
+    def counted(timeval, usegmt):
+        formatted.append(timeval)
+        return original(timeval, usegmt=usegmt)
+
+    monkeypatch.setattr(server.email.utils, "formatdate", counted)
+    monkeypatch.setattr(server, "time", SimpleNamespace(time=iter([7.1, 7.9, 8.2]).__next__))
+    server._http_date.cache_clear()
+    handler = server._RequestHandler.__new__(server._RequestHandler)
+    dates = [handler.date_time_string() for _ in range(3)]
+    assert dates == [original(7, usegmt=True)] * 2 + [original(8, usegmt=True)]
+    assert formatted == [7, 8]
+    assert handler.date_time_string(9.5) == original(9.5, usegmt=True)

@@ -274,3 +274,33 @@ def test_run_refuses_unsatisfiable_td_before_binding(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ") and "property 'level'" in err
+
+
+# --- fixed members are copied only when they are containers --------------------
+
+def test_container_members_are_fresh_and_scalars_are_not_copied(monkeypatch):
+    copies = []
+    original = wotsim.generator.copy.deepcopy
+
+    def counted(value, *args):
+        copies.append(value)
+        return original(value, *args)
+
+    monkeypatch.setattr(wotsim.generator.copy, "deepcopy", counted)
+    for doc in ({"enum": ["a", 2, None, True]}, {"const": "x"}, {"const": 1.5}):
+        rng = RandomSource(3)
+        [generate(extract_schema(doc), rng) for _ in range(20)]
+    assert copies == []
+
+    for doc in ({"enum": [[1], {"a": [2]}, "s", 3]}, {"const": {"a": [1]}}):
+        schema, rng = extract_schema(doc), RandomSource(3)
+        draws = [generate(schema, rng) for _ in range(30)]
+        texts = [json.dumps(value) for value in draws]
+        containers = [value for value in draws if isinstance(value, (list, dict))]
+        assert containers and len({id(value) for value in containers}) == len(containers)
+        assert len(copies) == len(containers)
+        for value in containers:
+            value.clear()  # emptying a drawn value must not empty the member
+        rng = RandomSource(3)
+        assert [json.dumps(generate(schema, rng)) for _ in range(30)] == texts
+        copies.clear()

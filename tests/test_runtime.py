@@ -109,6 +109,24 @@ class TestProperties:
         value["ts"] = 99
         assert thing.read_property("reading")["ts"] == 5
 
+    def test_write_that_json_cannot_carry_is_refused(self):
+        thing = make_thing("thermostat.td.json", seed=1)
+        thing.write_property("setpoint", 12.5)
+        nan = float("nan")
+        assert validate(thing.original_td.properties["setpoint"].data_schema, nan).valid
+        with pytest.raises(InvalidValue, match="'setpoint'") as err:
+            thing.write_property("setpoint", nan)
+        assert [v.rule for v in err.value.violations] == ["type"]
+        assert thing.read_property("setpoint") == 12.5
+        assert thing.read_property_json("setpoint") == b"12.5"
+
+    def test_read_returns_a_fresh_copy_of_the_written_value(self):
+        thing = make_thing("sensor-hub.td.json", seed=1)
+        thing.write_property("reading", {"ts": 5, "values": [1.5]})
+        first = thing.read_property("reading")
+        first["values"].append(2.5)
+        assert thing.read_property("reading") == {"ts": 5, "values": [1.5]}
+
     def test_invalid_write_reports_violations(self):
         thing = make_thing("coffee-machine.td.json")
         with pytest.raises(InvalidValue) as err:
