@@ -238,22 +238,18 @@ def probe_target(target: str, *, duration: float = 10.0,
                 raise ProbeError(f"cannot reach {target}: {exc}") from exc
             if status != 200:
                 raise ProbeError(f"{target} answered {status}, expected 200")
-            try:
-                td = parse_td(body)
-            except WotSimError as exc:
-                raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
             fallback_base = target.rstrip("/")
         else:
             try:
                 with open(target, "rb") as handle:
-                    raw = handle.read()
+                    body = handle.read()
             except OSError as exc:
                 raise ProbeError(str(exc)) from exc
-            try:
-                td = parse_td(raw)
-            except WotSimError as exc:
-                raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
             fallback_base = None
+        try:
+            td = parse_td(body)
+        except WotSimError as exc:
+            raise ProbeError(f"{target}: not a usable Thing Description: {exc}") from exc
 
         base = td.base if is_present(td.base) and isinstance(td.base, str) else fallback_base
 

@@ -17,7 +17,7 @@ import random
 import string
 
 from .errors import Unsatisfiable
-from .model import MISSING, DataSchema, Json, is_present
+from .model import DataSchema, Json, is_present
 from .validator import validate
 
 logger = logging.getLogger(__name__)
@@ -89,11 +89,11 @@ _ONE_OF_FAILURE = "every oneOf branch conflicts with the enclosing keywords"
 _BOOLEANS = (False, True)
 
 
-def _draw_member(value: Json):
-    """Draw of one fixed value: a fresh copy of a container, a scalar as is."""
+def _fixed(value: Json):
+    """Copier of one fixed value: a fresh copy of a container, a scalar as is."""
     if isinstance(value, (list, dict)):
-        return lambda r, depth: copy.deepcopy(value)
-    return lambda r, depth: value
+        return lambda: copy.deepcopy(value)
+    return lambda: value
 
 
 def _draw_one_of(branches: list):
@@ -116,44 +116,65 @@ def _draw_one_of(branches: list):
 
 
 class Plan:
-    """What a draw from one schema needs that does not depend on the random
-    source, derived once: the checked const, the conforming enum members, the
-    merged oneOf branches with their nesting depths, the resolved type and
-    bounds, the member plans and, on first use, the minimal value.
+    """A schema compiled once, with its kind decided once, into two closures:
+    ``draw(r, depth)`` over a ``random.Random``, and ``minimal()``, which
+    builds a fresh shallowest conforming value on each call.
 
     ``failure`` is the Unsatisfiable message that every draw raises before
     using the random source, or None; ``certain_failure`` also finds the
-    draws that all fail only after using it. ``draw(r, depth)`` is the draw
-    compiled to a closure over a ``random.Random``.
+    draws that all fail only after using it, from ``kind`` and the member
+    plans (``branches``, ``items``, ``properties``) and ``lo``.
     """
 
     def __init__(self, schema: DataSchema):
         self.failure: str | None = None
-        self._minimal: Json | object = MISSING
-        self._derive(schema)
-        self.draw = self._compile_draw()
+        self.draw, self.minimal = self._compile(schema)
 
-    def _derive(self, schema: DataSchema) -> None:
+    def _fail(self, message: str):
+        """The draw and the minimal value of a plan nothing conforms to."""
+        self.failure = message
+
+        def fail(*args):
+            raise Unsatisfiable(message)
+        return fail, fail
+
+    def _compile(self, schema: DataSchema):
+        """The (draw, minimal) closures of the schema's kind. Members and
+        bounds are resolved and member closures bound here, so neither closure
+        dispatches on anything."""
         if is_present(schema.const_value):
-            self.kind, self._minimal = "const", schema.const_value
+            self.kind = "const"
             if not validate(schema, schema.const_value).valid:
-                self.failure = "const value conflicts with the other keywords"
-            return
+                return self._fail("const value conflicts with the other keywords")
+            fixed = _fixed(schema.const_value)
+            return (lambda r, depth: fixed()), fixed
         if schema.enum_values is not None:
             self.kind = "enum"
-            self.members = [v for v in schema.enum_values if validate(schema, v).valid]
-            if self.members:
-                self._minimal = self.members[0]
-            else:
-                self.failure = "no enum member conforms to the other keywords"
-            return
+            members = [v for v in schema.enum_values if validate(schema, v).valid]
+            if not members:
+                return self._fail("no enum member conforms to the other keywords")
+            copiers = [_fixed(m) for m in members]
+            if any(isinstance(m, (list, dict)) for m in members):
+                return (lambda r, depth: r.choice(copiers)()), copiers[0]
+            return (lambda r, depth: r.choice(members)), copiers[0]
         if schema.one_of is not None:
             self.kind = "oneOf"
             merged = [m for b in schema.one_of if (m := merge_branch(schema, b)) is not None]
             self.branches = [(nesting_depth(m), prepare(m)) for m in merged]
             if not self.branches:
-                self.failure = _ONE_OF_FAILURE
-            return
+                return self._fail(_ONE_OF_FAILURE)
+            shallowest_first = [plan.minimal for _, plan in
+                                sorted(self.branches, key=lambda branch: branch[0])]
+
+            def minimal_one_of():
+                for minimal in shallowest_first:
+                    try:
+                        return minimal()
+                    except Unsatisfiable:
+                        continue
+                raise Unsatisfiable(_ONE_OF_FAILURE)
+            draws = [(nesting, plan.draw) for nesting, plan in self.branches]
+            return _draw_one_of(draws), minimal_one_of
 
         kind = schema.type
         if kind is None and (schema.minimum is not None or schema.maximum is not None):
@@ -162,53 +183,18 @@ class Plan:
             logger.warning("schema has no type, enum, const or oneOf; generating null")
             kind = "null"
         self.kind = kind
-        self._minimal = {"null": None, "boolean": False, "string": ""}.get(kind, MISSING)
+        if kind == "null":
+            return (lambda r, depth: None), _fixed(None)
+        if kind == "boolean":
+            return (lambda r, depth: r.choice(_BOOLEANS)), _fixed(False)
         if kind == "integer":
             lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -128, 127)
-            self.lo, self.hi = int(math.ceil(lo)), int(math.floor(hi))
-            self._minimal = self.lo
-            if self.lo > self.hi:
-                self.failure = f"no integer exists in [{schema.minimum}, {schema.maximum}]"
-        elif kind == "number":
-            self.lo, self.hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
-            self._minimal = float(self.lo)
-        elif kind == "array":
-            self.items = prepare(schema.items or DataSchema())
-            self.lo = schema.min_items if schema.min_items is not None else 0
-            self.hi = schema.max_items if schema.max_items is not None else self.lo + 5
-        elif kind == "object":
-            self.properties = {n: prepare(s) for n, s in (schema.properties or {}).items()}
-            self.required = schema.required or ()
-
-    def _compile_draw(self):
-        """The draw of this plan's kind as a closure taking (random.Random,
-        depth). Member draws are bound here, so a draw dispatches on nothing."""
-        if self.failure is not None:
-            failure = self.failure
-
-            def draw_nothing(r, depth):
-                raise Unsatisfiable(failure)
-            return draw_nothing
-        kind = self.kind
-        if kind == "const":
-            return _draw_member(self._minimal)
-        if kind == "enum":
-            members = self.members
-            if any(isinstance(m, (list, dict)) for m in members):
-                draws = [_draw_member(m) for m in members]
-                return lambda r, depth: r.choice(draws)(r, depth)
-            return lambda r, depth: r.choice(members)
-        if kind == "oneOf":
-            return _draw_one_of([(nesting, plan.draw) for nesting, plan in self.branches])
-        if kind == "null":
-            return lambda r, depth: None
-        if kind == "boolean":
-            return lambda r, depth: r.choice(_BOOLEANS)
-        if kind == "integer":
-            lo, hi = self.lo, self.hi
-            return lambda r, depth: r.randint(lo, hi)
+            lo, hi = int(math.ceil(lo)), int(math.floor(hi))
+            if lo > hi:
+                return self._fail(f"no integer exists in [{schema.minimum}, {schema.maximum}]")
+            return (lambda r, depth: r.randint(lo, hi)), _fixed(lo)
         if kind == "number":
-            lo, hi = self.lo, self.hi
+            lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
             span = hi - lo  # random.uniform's own arithmetic, bit for bit
 
             def draw_number(r, depth):
@@ -216,37 +202,48 @@ class Plan:
                 rounded = round(drawn, 6)
                 # Rounding must not escape a very narrow range.
                 return rounded if lo <= rounded <= hi else drawn
-            return draw_number
+            return draw_number, _fixed(float(lo))
         if kind == "string":
             def draw_string(r, depth):
                 choice = r.choice
                 return "".join([choice(string.ascii_lowercase)
                                 for _ in range(r.randint(4, 16))])
-            return draw_string
-        minimal = self.minimal
+            return draw_string, _fixed("")
         if kind == "array":
-            draw_item, lo, hi = self.items.draw, self.lo, self.hi
+            self.items = prepare(schema.items or DataSchema())
+            self.lo = lo = schema.min_items if schema.min_items is not None else 0
+            hi = schema.max_items if schema.max_items is not None else lo + 5
+            draw_item, minimal_item = self.items.draw, self.items.minimal
+
+            def minimal_array():
+                return [minimal_item() for _ in range(lo)]
 
             def draw_array(r, depth):
                 if depth >= DEPTH_CAP:
-                    return minimal()
+                    return minimal_array()
                 depth += 1
                 return [draw_item(r, depth) for _ in range(r.randint(lo, hi))]
-            return draw_array
+            return draw_array, minimal_array
+        self.properties = {n: prepare(s) for n, s in (schema.properties or {}).items()}
         members = [(name, plan.draw) for name, plan in self.properties.items()]
-        undescribed = [name for name in dict.fromkeys(self.required)
-                       if name not in self.properties]
+        required = dict.fromkeys(schema.required or ())
+        undescribed = [name for name in required if name not in self.properties]
+        minimal_members = [(name, self.properties[name].minimal if name in self.properties
+                            else _fixed(None)) for name in required]
+
+        def minimal_object():
+            return {name: minimal() for name, minimal in minimal_members}
 
         def draw_object(r, depth):
             if depth >= DEPTH_CAP:
-                return minimal()
+                return minimal_object()
             depth += 1
             # Every described property is included, not only the required ones.
             result = {name: draw(r, depth) for name, draw in members}
             for name in undescribed:
                 result[name] = None  # required but never described
             return result
-        return draw_object
+        return draw_object, minimal_object
 
     def certain_failure(self, depth: int = 0) -> str | None:
         """The Unsatisfiable message when every draw at this depth raises, else
@@ -270,28 +267,6 @@ class Plan:
             return self.items.certain_failure(depth + 1) if self.lo >= 1 else None
         failures = (plan.certain_failure(depth + 1) for plan in self.properties.values())
         return next((failure for failure in failures if failure), None)
-
-    def minimal(self) -> Json:
-        if self.failure is not None:
-            raise Unsatisfiable(self.failure)
-        if self._minimal is MISSING:
-            self._minimal = self._build_minimal()
-        return copy.deepcopy(self._minimal)
-
-    def _build_minimal(self) -> Json:
-        """Minimal value of a oneOf, array or object: the other kinds know
-        theirs from the start."""
-        if self.kind == "oneOf":
-            for _, plan in sorted(self.branches, key=lambda branch: branch[0]):
-                try:
-                    return plan.minimal()
-                except Unsatisfiable:
-                    continue
-            raise Unsatisfiable(_ONE_OF_FAILURE)
-        if self.kind == "array":
-            return [self.items.minimal() for _ in range(self.lo)]
-        return {name: self.properties[name].minimal() if name in self.properties else None
-                for name in self.required}
 
 
 def _resolve_bounds(minimum, maximum, default_lo, default_hi):

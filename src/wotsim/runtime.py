@@ -222,9 +222,12 @@ class VirtualThing:
     def read_property_json(self, name: str) -> bytes:
         """read_property's value as the UTF-8 JSON the HTTP binding serves: a
         written value as it was encoded when written, else a fresh draw."""
-        with self._lock:
+        with self._lock:  # held across the draw, so a write cannot land between
             encoded = self._written(name)
-        return _encode(self.read_property(name)) if encoded is None else encoded
+            if encoded is not None:
+                return encoded
+            value = self.read_property(name)
+        return _encode(value)
 
     def _written(self, name: str) -> bytes | None:
         """Encoded written value of the property, None if never written."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import email.utils
 import functools
-import json
 import logging
 import socket
 import threading
@@ -34,7 +33,7 @@ from .errors import (
     ValidationFailed,
 )
 from .model import MISSING, is_present
-from .runtime import RealClock, VirtualThing, run_events
+from .runtime import RealClock, VirtualThing, _encode, run_events
 from .td import _loads, serialize_td
 
 logger = logging.getLogger(__name__)
@@ -146,8 +145,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.flush_headers()
 
     def _respond_json(self, status: int, value, headers: dict | None = None) -> None:
-        body = json.dumps(value, ensure_ascii=False, allow_nan=False).encode("utf-8")
-        self._respond(status, body, headers=headers)
+        self._respond(status, _encode(value), headers=headers)
 
     def _respond_error(self, status: int, message: str, violations=None,
                        headers: dict | None = None) -> None:

@@ -400,6 +400,11 @@ class TestProbe:
         assert code == 2
         assert "404" in capsys.readouterr().err
 
+    def test_url_answering_a_non_td_exits_2(self, capsys, faulty_server):
+        code = main(["probe", f"{faulty_server}properties/state"])
+        assert code == 2
+        assert "not a usable Thing Description" in capsys.readouterr().err
+
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{oops")

@@ -304,3 +304,48 @@ def test_container_members_are_fresh_and_scalars_are_not_copied(monkeypatch):
         rng = RandomSource(3)
         assert [json.dumps(generate(schema, rng)) for _ in range(30)] == texts
         copies.clear()
+
+
+# --- minimal values are built fresh, not copied --------------------------------
+
+MINIMAL_CASES = {
+    "object": {"type": "object", "required": ["a", "b"], "properties": {
+        "a": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
+        "b": {"type": "string"}}},
+    "array": {"type": "array", "minItems": 2, "items": {
+        "type": "object", "properties": {"x": {"type": "boolean"}}, "required": ["x"]}},
+    "oneOf": {"oneOf": [
+        {"type": "object", "required": ["deep"], "properties": {"deep": {
+            "type": "object", "properties": {"n": {"type": "null"}}, "required": ["n"]}}},
+        {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
+    ]},
+}
+
+
+def _empty(value):
+    """Empty a container and every container inside it."""
+    for member in list(value.values() if isinstance(value, dict) else value):
+        if isinstance(member, (list, dict)):
+            _empty(member)
+    value.clear()
+
+
+@pytest.mark.parametrize("case", sorted(MINIMAL_CASES))
+def test_minimal_values_are_built_fresh_without_copying(case, monkeypatch):
+    copies = []
+    original = wotsim.generator.copy.deepcopy
+
+    def counted(value, *args):
+        copies.append(value)
+        return original(value, *args)
+
+    monkeypatch.setattr(wotsim.generator.copy, "deepcopy", counted)
+    schema = extract_schema(MINIMAL_CASES[case])
+    for build in (lambda: minimal_value(schema),
+                  lambda: generate(schema, RandomSource(3), DEPTH_CAP)):
+        first, second = build(), build()
+        assert first == second and first is not second
+        text = json.dumps(second)
+        _empty(first)
+        assert json.dumps(build()) == text and json.dumps(second) == text
+    assert copies == []
