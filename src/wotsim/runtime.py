@@ -262,6 +262,18 @@ class VirtualThing:
     def read_all_properties(self) -> dict[str, Json]:
         return {name: self.read_property(name) for name in self.original_td.properties}
 
+    def read_all_properties_json(self) -> bytes:
+        """read_all_properties as the UTF-8 JSON the HTTP binding serves,
+        byte for byte: written values as they were encoded when written,
+        fresh draws encoded now."""
+        names = self.original_td.properties
+        with self._lock:  # one snapshot: no write lands between two members
+            written = dict(self._store)
+            drawn = {name: self.read_property(name) for name in names if name not in written}
+        return b"{" + b", ".join(
+            _encode(name) + b": " + (written[name] if name in written else _encode(drawn[name]))
+            for name in names) + b"}"
+
     # --- actions --------------------------------------------------------
 
     def invoke_action(self, name: str, input_value: Json = MISSING) -> Json:

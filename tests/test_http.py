@@ -1,7 +1,10 @@
 import copy
+import email.feedparser
 import email.utils
+import http.client
 import json
 import logging
+import re
 import socket
 import threading
 import time
@@ -459,6 +462,18 @@ class TestRequestFraming:
         status, body = status_and_body(answer)
         assert status == 413 and "error" in body
 
+    def test_request_body_after_interim_continue(self, coffee_text):
+        head = self.PUT_HEAD + b"Content-Length: 9\r\nExpect: 100-continue\r\n\r\n"
+        with running_server([coffee_text]) as handle, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(head)
+            interim = reader.readline() + reader.readline()
+            sock.sendall(b'"Brewing"')
+            status, headers, _ = read_response(reader)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert status == 204 and "connection" not in headers
+
     def test_short_body_times_out_without_a_500(self, coffee_text, monkeypatch, caplog):
         monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
         with running_server([coffee_text]) as handle:
@@ -601,6 +616,24 @@ class TestPersistentConnections:
         assert [closes_then_eof(answer) for answer in refused] == [501, 501]
         assert after == "Ready"
 
+    def test_http_1_0_closes_by_default(self, coffee_text):
+        request = b"GET /Coffee-Machine HTTP/1.0\r\n\r\n"
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, request + request)
+        assert closes_then_eof(answer) == 200
+
+    def test_http_1_0_keeps_alive_when_asked(self, coffee_text):
+        request = b"GET /Coffee-Machine HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with running_server([coffee_text]) as handle, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as sock, \
+                sock.makefile("rb") as reader:
+            answers = []
+            for _ in range(2):
+                sock.sendall(request)
+                answers.append(read_response(reader)[:2])
+        assert [status for status, _ in answers] == [200, 200]
+        assert all("connection" not in headers for _, headers in answers)
+
     def test_idle_connection_is_released(self, coffee_text, monkeypatch):
         monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
         with running_server([coffee_text]) as handle:
@@ -630,6 +663,158 @@ class TestPersistentConnections:
                     answer = b""
             assert answer == b""
             assert wait_for(lambda: handler_threads() <= before, 1.0)
+
+
+# --- the request head ---------------------------------------------------------
+
+# Heads refused before any route is looked up, with their status. Each ends
+# where its refusal is decided, so the servient has read every byte sent when
+# it closes, and the client reads the answer instead of a reset.
+REFUSED_HEADS = {
+    "request line over 64 KiB": (b"GET /" + b"a" * 65532, 414),
+    "header line over 64 KiB": (b"GET / HTTP/1.1\r\nX: " + b"a" * 65534, 431),
+    "101 header lines": (b"GET / HTTP/1.1\r\n" + b"X: a\r\n" * 101, 431),
+    "four-word request line": (b"GET / x HTTP/1.1\r\n", 400),
+    "one-word request line": (b"GET\r\n", 400),
+    "bad version": (b"GET / HTTP/1.x\r\n", 400),
+    "HTTP/2": (b"GET / HTTP/2.0\r\n", 505),
+}
+
+
+@pytest.mark.parametrize("head,status", REFUSED_HEADS.values(), ids=REFUSED_HEADS)
+def test_refused_head_closes(coffee_servient, head, status):
+    assert closes_then_eof(raw_exchange(coffee_servient.port, head)) == status
+
+
+@pytest.mark.parametrize("head,status", REFUSED_HEADS.values(), ids=REFUSED_HEADS)
+def test_refused_head_answers_a_json_error(coffee_servient, head, status):
+    answer = raw_exchange(coffee_servient.port, head)
+    assert b"\r\nContent-Type: application/json\r\n" in answer.partition(b"\r\n\r\n")[0]
+    assert status_and_body(answer)[0] == status
+    assert set(status_and_body(answer)[1]) == {"error"}
+
+
+def read_head(reader) -> bytes:
+    """The raw head of the next response, blank line included."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        if not line:
+            raise EOFError("the server closed the connection")
+        head += line
+    return head
+
+
+def exchange_heads(port: int, requests_: list) -> list[tuple[bytes, bytes]]:
+    """(head with its Date value starred, body) of each request's response on
+    one connection; a response without Content-Length is read up to its head."""
+    answers = []
+    with socket.create_connection(("127.0.0.1", port), timeout=TIMEOUT) as sock, \
+            sock.makefile("rb") as reader:
+        for request in requests_:
+            sock.sendall(request)
+            head = read_head(reader)
+            date = re.search(rb"\r\nDate: ([^\r]*)\r\n", head).group(1)
+            assert email.utils.parsedate_to_datetime(date.decode()).tzname() == "UTC"
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+            has_body = length and not request.startswith(b"HEAD ")
+            body = reader.read(int(length.group(1))) if has_body else b""
+            answers.append((head.replace(date, b"*"), body))
+    return answers
+
+
+def test_response_heads_are_pinned(coffee_servient):
+    state = "/Coffee-Machine/properties/state"
+    requests_ = [
+        http_request("PUT", state, "Brewing"),
+        http_request("GET", state),
+        http_request("PUT", state, "Latte"),
+        http_request("GET", "/Tea-Kettle"),
+        http_request("DELETE", state),
+        http_request("GET", "/Coffee-Machine/events/error", Accept="text/event-stream"),
+    ]
+    expected = [
+        b"HTTP/1.1 204 No Content\r\nServer: wotsim/0.1\r\nDate: *\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nServer: wotsim/0.1\r\nDate: *\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 9\r\n\r\n",
+        b"HTTP/1.1 400 Bad Request\r\nServer: wotsim/0.1\r\nDate: *\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+        b"HTTP/1.1 404 Not Found\r\nServer: wotsim/0.1\r\nDate: *\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 22\r\n\r\n",
+        b"HTTP/1.1 405 Method Not Allowed\r\nServer: wotsim/0.1\r\nDate: *\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 39\r\nAllow: GET, PUT\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nServer: wotsim/0.1\r\nDate: *\r\n"
+        b"Content-Type: text/event-stream\r\nCache-Control: no-cache\r\n"
+        b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+    ]
+    answers = exchange_heads(coffee_servient.port, requests_)
+    expected[2] %= len(answers[2][1])
+    assert [head for head, _ in answers] == expected
+    assert (answers[1][1], answers[3][1]) == (b'"Brewing"', b'{"error": "not found"}')
+
+
+def test_kept_alive_requests_do_not_parse_headers_as_email(coffee_servient, monkeypatch):
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kw: calls.append(name) or original(*args, **kw))
+
+    counted(http.client, "parse_headers")
+    counted(email.feedparser.FeedParser, "feed")
+    state = "/Coffee-Machine/properties/state"
+    answers = exchange_heads(coffee_servient.port, [
+        http_request("GET", state, Accept="*/*", User_Agent="t", Accept_Encoding="gzip"),
+        http_request("PUT", state, "Ready"),
+        http_request("GET", state),
+    ])
+    assert [head.split(b" ", 2)[1] for head, _ in answers] == [b"200", b"204", b"200"]
+    assert calls == []
+
+
+# Requests whose method no route takes, on a path that some route takes, and
+# the methods that path takes.
+NOT_ALLOWED = [
+    ("DELETE", "/Coffee-Machine/properties/state", b"GET, PUT"),
+    ("PATCH", "/Coffee-Machine/properties/state", b"GET, PUT"),
+    ("DELETE", "/Coffee-Machine", b"GET"),
+    ("OPTIONS", "/Coffee-Machine/properties", b"GET"),
+    ("DELETE", "/Coffee-Machine/actions/brew", b"POST"),
+    ("HEAD", "/Coffee-Machine/events/error", b"GET"),
+    ("HEAD", "/Coffee-Machine/properties/state", b"GET, PUT"),
+]
+
+
+@pytest.mark.parametrize("method,path,allow", NOT_ALLOWED)
+def test_method_no_route_takes_is_405_with_allow(coffee_servient, method, path, allow):
+    (head, body), (after, _) = exchange_heads(
+        coffee_servient.port, [http_request(method, path), http_request("GET", "/Coffee-Machine")])
+    assert head.startswith(b"HTTP/1.1 405 Method Not Allowed\r\n")
+    assert b"\r\nAllow: " + allow + b"\r\n" in head
+    assert b"Connection" not in head and after.startswith(b"HTTP/1.1 200 ")
+    if method == "HEAD":
+        assert body == b"" and b"\r\nContent-Length: " in head
+    else:
+        assert json.loads(body) == {"error": f"{method} is not allowed here"}
+
+
+@pytest.mark.parametrize("path", ["/Tea-Kettle/properties/state", "/Coffee-Machine/other/state",
+                                  "/Coffee-Machine/properties/state/extra", "/"])
+def test_method_no_route_takes_is_404_off_the_routes(coffee_servient, path):
+    ((head, body),) = exchange_heads(coffee_servient.port, [http_request("DELETE", path)])
+    assert head.startswith(b"HTTP/1.1 404 ") and json.loads(body) == {"error": "not found"}
+
+
+def test_leading_slashes_collapse(coffee_servient):
+    with socket.create_connection(("127.0.0.1", coffee_servient.port),
+                                  timeout=TIMEOUT) as sock, sock.makefile("rb") as reader:
+        sock.sendall(http_request("GET", "//Coffee-Machine"))
+        status, _, body = read_response(reader)
+        sock.sendall(http_request("GET", "///Coffee-Machine/properties/state"))
+        state = read_response(reader)
+    assert status == 200 and json.loads(body)["title"] == "Coffee-Machine"
+    assert state[0] == 200 and json.loads(state[2]) in ["Ready", "Brewing", "Error"]
 
 
 # Every (method, path) pair below that is not one of the six routes.

@@ -148,6 +148,21 @@ class TestProperties:
         schema = thing.original_td.properties["temperature"].data_schema
         assert validate(schema, snapshot["temperature"]).valid
 
+    def test_read_all_json_is_the_encoded_snapshot_without_decoding(self, monkeypatch):
+        served, reference = (make_thing("sensor-hub.td.json", seed=5) for _ in range(2))
+        assert served.read_all_properties_json() == runtime._encode(
+            reference.read_all_properties())
+        for thing in (served, reference):
+            thing.write_property("reading", {"ts": 7, "values": [0.1, -2.5e-7]})
+            thing.write_property("label", "north")
+        decoded = []
+        original = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda *args, **kw: decoded.append(args) or original(*args, **kw))
+        bodies = [served.read_all_properties_json() for _ in range(3)]
+        assert decoded == []
+        assert bodies == [runtime._encode(reference.read_all_properties()) for _ in range(3)]
+
 
 class TestActions:
     def test_invoke_without_output_schema(self):
