@@ -154,8 +154,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError:
         pass  # not the main thread; SIGINT handling still applies
     try:
-        while True:
-            time.sleep(3600)
+        handle.wait()
     except KeyboardInterrupt:
         logger.info("shutting down")
     finally:

@@ -94,7 +94,8 @@ class ServientConfig:
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.address}:{self.port}"
+        host = f"[{self.address}]" if ":" in self.address else self.address  # IPv6
+        return f"http://{host}:{self.port}"
 
     def mode_for(self, event_name: str) -> EventMode:
         return self.event_overrides.get(event_name, self.event_mode)

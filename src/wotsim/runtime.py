@@ -3,11 +3,11 @@ and the rewritten TD it presents to consumers.
 
 One VirtualThing may be driven by concurrent request handlers; a single
 instance lock makes property reads/writes linearizable and keeps the
-request-facing RandomSource single-owner. One scheduler, ``run_events``,
-drives every event of a servient from one thread; each event draws its gaps
-and payloads from its own derived RandomSource, so background emissions never
-perturb the request-visible draw sequence. Each emission is encoded to JSON
-once and shared by all of its subscribers.
+request-facing RandomSource single-owner. One schedule, ``schedule_events``,
+times every event of a servient; each event draws its gaps and payloads from
+its own derived RandomSource, so background emissions never perturb the
+request-visible draw sequence. Each emission's payload is shared by all of
+its subscribers.
 """
 
 from __future__ import annotations
@@ -77,31 +77,34 @@ def rewrite_td(td: ThingDescription, base_url: str) -> ThingDescription:
     )
 
 
+def next_due(previous: float | None, seconds: float, now: float) -> float:
+    """When a wait of `seconds` ends: that long after the previous due time,
+    so the time spent between waits is not added to the gap. An overdue time
+    is now, and the schedule goes on from there, so a late emission is not
+    followed by catch-up emissions."""
+    return max(now, (now if previous is None else previous) + seconds)
+
+
 class RealClock:
-    """Wall-clock waiting on a schedule of due times, interruptible through a
-    stop event."""
+    """Wall-clock waiting on a schedule of due times (see next_due),
+    interruptible through a stop event."""
 
     def __init__(self, stop: threading.Event):
         self._stop = stop
         self._due: float | None = None  # on time.monotonic()
 
     def wait(self, seconds: float) -> bool:
-        """Wait until `seconds` after the previous wait was due, so the time
-        spent between waits is not added to the gap; True means "stop the
-        loop now". An overdue wait returns at once and the schedule restarts
-        from now, so a late emission is not followed by catch-up emissions."""
-        now = time.monotonic()
-        self._due = (now if self._due is None else self._due) + seconds
-        if self._due <= now:
-            self._due = now
-            return self._stop.is_set()
-        return self._stop.wait(self._due - now)
+        """Wait until `seconds` after the previous wait was due; True means
+        "stop the loop now"."""
+        self._due = next_due(self._due, seconds, time.monotonic())
+        return self._stop.wait(self._due - time.monotonic())
 
 
-def run_events(events: list[tuple["VirtualThing", str]], clock) -> None:
-    """Emit every (thing, event name) pair on its own schedule, in due-time
-    order, until the clock's wait reports a stop. Events in mode none never
-    emit. A failing emission is logged and its event stays scheduled."""
+def schedule_events(events: list[tuple["VirtualThing", str]]):
+    """Every (thing, event name) pair on its own schedule, in due-time order:
+    yields the gap before each emission, and emits it when resumed. Events in
+    mode none never emit. A failing emission is logged and its event stays
+    scheduled."""
     now = 0.0
     schedule = []  # heap of (due, index, thing, name); index breaks ties
     for index, (thing, name) in enumerate(events):
@@ -110,14 +113,21 @@ def run_events(events: list[tuple["VirtualThing", str]], clock) -> None:
             heapq.heappush(schedule, (gap, index, thing, name))
     while schedule:
         due, index, thing, name = schedule[0]
-        if clock.wait(due - now):
-            return
+        yield due - now
         now = due
         try:
             thing.emit_event(name)
         except Exception:  # one bad draw must not silence every event
             logger.exception("%s: emitting event %r failed", thing.title, name)
         heapq.heapreplace(schedule, (due + thing.next_interval(name), index, thing, name))
+
+
+def run_events(events: list[tuple["VirtualThing", str]], clock) -> None:
+    """Emit the events of schedule_events, pacing with the clock, until the
+    clock's wait reports a stop."""
+    for gap in schedule_events(events):
+        if clock.wait(gap):
+            return
 
 
 # Messages a subscription holds for its reader; 5 s at 200 emissions/s.
@@ -132,14 +142,16 @@ class EventSubscription:
     Iterating blocks for each payload and ends once the Thing stops its events.
     Payloads are shared by every subscriber and must not be modified. A reader
     that falls more than SUBSCRIPTION_BUFFER messages behind loses the oldest
-    ones; `dropped` counts them.
+    ones; `dropped` counts them. `notify`, if given, is called after each
+    message is queued, on the emitting thread with the Thing's lock held.
     """
 
-    def __init__(self, thing: "VirtualThing", event_name: str):
+    def __init__(self, thing: "VirtualThing", event_name: str, notify=None):
         self._thing = thing
         self.event_name = event_name
         self.dropped = 0
-        self._queue: queue.Queue = queue.Queue()  # (payload, encoded) or the end
+        self._notify = notify
+        self._queue: queue.Queue = queue.Queue()  # payloads, then the end
 
     def _put(self, message) -> None:
         # Callers hold the Thing's lock, so only the reader runs alongside,
@@ -148,28 +160,25 @@ class EventSubscription:
             self._queue.get_nowait()
             self.dropped += 1
         self._queue.put(message)
+        if self._notify is not None:
+            self._notify()
 
     def get(self, timeout: float | None = None) -> Json:
-        """Next payload; raises queue.Empty when the timeout elapses."""
-        return self._queue.get(timeout=timeout)[0]
+        """Next payload; raises queue.Empty when the timeout elapses, and
+        EOFError once the Thing has stopped its events."""
+        message = self._queue.get(timeout=timeout)
+        if message is _END_OF_STREAM:
+            self._queue.put(message)  # every later get ends as well
+            raise EOFError("the Thing has stopped its events")
+        return message
 
     def __iter__(self):
-        while (message := self._queue.get()) is not _END_OF_STREAM:
-            yield message[0]
-
-    def encoded(self, idle_seconds: float):
-        """Like iterating, but yields each payload as compact JSON bytes (one
-        object shared by every subscriber), and None whenever `idle_seconds`
-        pass without an emission."""
         while True:
             try:
-                message = self._queue.get(timeout=idle_seconds)
-            except queue.Empty:
-                yield None
-                continue
-            if message is _END_OF_STREAM:
+                payload = self.get()
+            except EOFError:
                 return
-            yield message[1]
+            yield payload
 
     def close(self) -> None:
         self._thing.unsubscribe(self)
@@ -304,11 +313,11 @@ class VirtualThing:
 
     # --- events ---------------------------------------------------------
 
-    def subscribe_event(self, name: str) -> EventSubscription:
+    def subscribe_event(self, name: str, notify=None) -> EventSubscription:
         with self._lock:
             if name not in self.original_td.events:
                 raise UnknownEvent(f"no event named {name!r}")
-            subscription = EventSubscription(self, name)
+            subscription = EventSubscription(self, name, notify)
             if self._stopped:
                 subscription._put(_END_OF_STREAM)
             else:
@@ -320,8 +329,7 @@ class VirtualThing:
             self._subscribers[subscription.event_name].discard(subscription)
 
     def emit_event(self, name: str) -> Json:
-        """One emission: generate a payload, encode it once and queue both to
-        every subscriber."""
+        """One emission: generate a payload and queue it to every subscriber."""
         with self._lock:
             aff = self.original_td.events.get(name)
             if aff is None:
@@ -330,12 +338,8 @@ class VirtualThing:
                 payload = generate(aff.data, self._event_rngs[name])
             else:
                 payload = None
-            subscriptions = self._subscribers[name]
-            if subscriptions:
-                encoded = json.dumps(payload, separators=(",", ":"), allow_nan=False)
-                message = (payload, encoded.encode("utf-8"))
-                for subscription in subscriptions:
-                    subscription._put(message)
+            for subscription in self._subscribers[name]:
+                subscription._put(payload)
             return payload
 
     def next_interval(self, name: str) -> float | None:

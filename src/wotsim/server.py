@@ -6,20 +6,29 @@ uses Server-Sent Events: each emission is one ``data: <compact JSON>``
 message, and an idle stream gets a comment every HEARTBEAT_SECONDS. JSON is
 the only payload format on this binding.
 
-Each connection reads its request heads with ``_read_head`` (HTTP/1.1 as in
-RFC 9112) and writes every response head in ``_respond``. Every request takes
-one path: ``_dispatch`` finds its handler in ``_ROUTES`` and maps the domain
-errors the handler raises to statuses.
+One thread runs the servient's loop, on ``selectors``: it accepts
+connections, reads into a buffer per connection, answers each request inline,
+writes from an output buffer per connection and emits each event when it is
+due. Request heads are read with ``_read_head`` (HTTP/1.1 as in RFC 9112) and
+every response head is written in ``_respond``. Every request takes one path:
+``_dispatch`` finds its handler in ``_ROUTES`` and maps the domain errors the
+handler raises to statuses.
 """
 
 from __future__ import annotations
 
+import collections
 import email.utils
 import functools
+import io
+import json
 import logging
+import math
+import queue
 import re
+import selectors
+import signal
 import socket
-import socketserver
 import threading
 import time
 from http import HTTPStatus
@@ -37,7 +46,7 @@ from .errors import (
     ValidationFailed,
 )
 from .model import MISSING, is_present
-from .runtime import RealClock, VirtualThing, _encode, run_events
+from .runtime import SUBSCRIPTION_BUFFER, VirtualThing, _encode, next_due, schedule_events
 from .td import _loads, serialize_td
 
 logger = logging.getLogger(__name__)
@@ -45,8 +54,7 @@ logger = logging.getLogger(__name__)
 TD_CONTENT_TYPE = "application/td+json"
 # Largest request body read; anything longer is refused with 413.
 MAX_BODY_BYTES = 1 << 20
-# Seconds an event stream may stay silent before it gets an SSE comment. The
-# write lets the handler notice a client that has gone away.
+# Seconds an event stream may stay silent before it gets an SSE comment.
 HEARTBEAT_SECONDS = 5.0
 # Longest request line or header line, line end included, and most lines a
 # request head may take after its request line, blank line included. Longer
@@ -54,6 +62,13 @@ HEARTBEAT_SECONDS = 5.0
 # limits, so the servient refuses the heads the standard library refused.
 MAX_LINE_BYTES = 65536
 MAX_HEAD_LINES = 100
+# Seconds a connection may idle between requests, take to send a request's
+# head and body from their first byte, or leave its pending output unread.
+TIMEOUT_SECONDS = 10.0
+# Connections served at once; one more is answered 503 and closed.
+MAX_CONNECTIONS = 512
+# Seconds stop() gives the responses and stream ends in flight to go out.
+STOP_SECONDS = 5.0
 SERVER_NAME = "wotsim/0.1"
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
@@ -61,55 +76,6 @@ _LINE_ENDS = (b"\r\n", b"\n", b"")  # a blank line, or the end of the input
 _OWS = " \t"
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 section 5.6.2
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-
-
-class _ServientServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's listen backlog of 5 overflows when tens of clients
-    # connect at once, and each dropped SYN costs its client a 1 s retry.
-    request_queue_size = socket.SOMAXCONN
-
-    def __init__(self, address: tuple[str, int], things: dict[str, VirtualThing]):
-        self.things = things  # keyed by (decoded) Thing title
-        # The exposed TD is immutable, so its body is encoded once.
-        self.td_bodies = {
-            title: serialize_td(thing.exposed_td, indent=2).encode("utf-8")
-            for title, thing in things.items()
-        }
-        # Sockets of the connections being served, so stop can end them.
-        self._connections: set[socket.socket] = set()
-        self._connections_changed = threading.Condition()
-        super().__init__(address, _RequestHandler)
-
-    def process_request(self, request, client_address) -> None:
-        # Runs in the accept loop, so once shutdown() returns every accepted
-        # connection is in the set.
-        with self._connections_changed:
-            self._connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        super().shutdown_request(request)
-        with self._connections_changed:
-            self._connections.discard(request)
-            self._connections_changed.notify_all()
-
-    def end_connections(self, timeout: float) -> None:
-        """Stop reading from every connection, then wait up to `timeout`
-        seconds for each to finish the response it is writing, if any.
-        Waiting matters: bytes that reach a socket after its reads were shut
-        down are still read, so an unfinished handler could answer them."""
-        with self._connections_changed:
-            for request in self._connections:
-                try:
-                    request.shutdown(socket.SHUT_RD)
-                except OSError:  # the peer already closed it
-                    pass
-            self._connections_changed.wait_for(lambda: not self._connections, timeout)
-
-    def handle_error(self, request, client_address) -> None:
-        logger.exception("request from %s failed", client_address[0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -179,68 +145,235 @@ def _version(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-class _RequestHandler(socketserver.StreamRequestHandler):
-    # Socket timeout in seconds: a client that stalls mid-request (or stops
-    # reading an event stream) loses its connection instead of a thread.
-    timeout = 10.0
-    server: _ServientServer
 
-    def handle(self) -> None:
-        """Answer one request after another until one closes the connection."""
-        self.close_connection = False
-        try:
-            while not self.close_connection and self.parse_request():
-                self._dispatch()
-        except (TimeoutError, ConnectionError):  # idle too long, or the client left
-            pass
 
-    def parse_request(self) -> bool:
-        """Read the next request head into command, path and headers, and
-        decide whether the connection stays open after it. False when there
-        is no request to answer: the connection ended, or the head was
-        refused and the refusal sent."""
-        self.command = self.requestline = ""
+class _Incomplete(Exception):
+    """The bytes received so far end inside the request being read."""
+
+
+class _Received(io.BytesIO):
+    """_read_head's reader over the bytes a connection has received: a line
+    that is unfinished and shorter than its limit raises _Incomplete, unless
+    the client has sent its last byte."""
+
+    def __init__(self, data: bytes, ended: bool):
+        super().__init__(data)
+        self.ended = ended
+
+    def readline(self, limit: int) -> bytes:
+        line = super().readline(limit)
+        if not (line.endswith(b"\n") or len(line) == limit or self.ended):
+            raise _Incomplete
+        return line
+
+
+def _content_length(headers: dict[str, list[str]]) -> int:
+    lengths = headers.get("content-length", ["0"])
+    if len(lengths) > 1:  # which one frames the body is ambiguous
+        raise _Refused(400, "more than one Content-Length header")
+    text = lengths[0].strip()
+    if not (text.isascii() and text.isdigit()):
+        raise _Refused(400, f"Content-Length {text!r} is not a non-negative integer")
+    if int(text) > MAX_BODY_BYTES:
+        raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return int(text)
+
+
+def _chunk(data: bytes) -> bytes:
+    return b"%X\r\n%s\r\n" % (len(data), data)
+
+
+_HEARTBEAT = _chunk(b":\n\n")
+
+
+class _Connection:
+    """One client connection, touched only by the loop's thread: the bytes
+    received and not yet answered, the bytes to send, and the request being
+    answered. The next request is parsed only once the answer before it has
+    left the output buffer, so a client that does not read its answers cannot
+    grow that buffer."""
+
+    def __init__(self, servient: ServerHandle, sock: socket.socket, client: str):
+        self.servient = servient
+        self.sock = sock
+        self.client = client
+        self.inbuf = bytearray()
+        self.out: collections.deque[bytes] = collections.deque()
+        self.sent = 0  # bytes of out[0] already sent
+        self.mask = selectors.EVENT_READ  # what the selector watches for
+        self.deadline = math.inf  # when the connection expires, on time.monotonic()
+        self.ended = self.closed = self.close_connection = False
+        self.head = None  # (head, offset of its body, end of its body) until dispatched
+        self.stream: _EventStreams | None = None  # the event this connection streams
+        self.dropped = 0  # stream messages lost because the client fell behind
+        self.command = self.path = ""
+        self.version = (1, 1)
+        self.headers: dict[str, list[str]] = {}
+        self.body = b""
         self._body_unread = False
+
+    def on_event(self, mask: int) -> None:
         try:
-            head = _read_head(self.rfile)
-        except _Refused as exc:
-            self.close_connection = True
-            self._respond_error(*exc.args)
-            return False
-        if head is None:
-            return False
-        self.command, self.path, version, self.headers = head
-        self.requestline = f"{self.command} {self.path} HTTP/{version[0]}.{version[1]}"
-        connection = self.headers.get("connection", [""])[0].lower()
-        self.close_connection = (connection == "close"
-                                 or (version < (1, 1) and connection != "keep-alive"))
-        if version >= (1, 1) and self.headers.get("expect", [""])[0].lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return True
+            if mask & selectors.EVENT_READ:
+                self._receive()
+            if not self.closed:
+                self.serve()
+        except Exception:  # one connection's failure must not end the loop
+            logger.exception("connection from %s failed", self.client)
+            self.close()
 
-    def address_string(self) -> str:
-        return self.client_address[0]
+    def _receive(self) -> None:
+        try:
+            data = self.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the client
+            return self.close()
+        self.ended = not data
+        if self.stream is not None:  # a stream's client has nothing to say but goodbye
+            return self.close() if self.ended else None
+        if data and not self.inbuf:  # a request's first byte starts its deadline
+            self.servient._arm(self, TIMEOUT_SECONDS)
+        self.inbuf += data
 
-    def date_time_string(self, timestamp=None) -> str:
-        return _http_date(int(time.time() if timestamp is None else timestamp))
+    def serve(self) -> None:
+        """Send what is pending; then, while nothing is, answer each complete
+        request received."""
+        if self.out:
+            self.flush()
+        while not (self.out or self.closed or self.close_connection or self.servient._stopping):
+            if self.head is None:
+                if not (self.inbuf or self.ended):
+                    return
+                self.command = ""
+                self._body_unread = False
+                # With a blank line received, every line up to it is whole.
+                reader = (io.BytesIO(self.inbuf) if b"\r\n\r\n" in self.inbuf
+                          else _Received(self.inbuf, self.ended))
+                try:
+                    head = _read_head(reader)
+                except _Incomplete:
+                    return
+                except _Refused as exc:
+                    self.close_connection = True
+                    self._respond_error(*exc.args)
+                    return self.flush()
+                if head is None:
+                    return self.close()
+                start = end = reader.tell()
+                if "content-length" in head[3] and "transfer-encoding" not in head[3]:
+                    try:
+                        end += _content_length(head[3])
+                    except _Refused:  # refused by the route that reads the body
+                        pass
+                self.head = head, start, end
+                if (len(self.inbuf) < end and head[2] >= (1, 1)
+                        and head[3].get("expect", [""])[0].lower() == "100-continue"):
+                    self.out.append(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    return self.flush()
+            (self.command, self.path, version, self.headers), start, end = self.head
+            if len(self.inbuf) < end:
+                break
+            self.head = None
+            self.version = version
+            self.body = bytes(self.inbuf[start:end]) if end > start else b""
+            del self.inbuf[:end]
+            connection = self.headers.get("connection", [""])[0].lower()
+            self.close_connection = (connection == "close"
+                                     or (version < (1, 1) and connection != "keep-alive"))
+            self._dispatch()
+            if self.inbuf:  # the next request's first bytes are here
+                self.servient._arm(self, TIMEOUT_SECONDS)
+            self.flush()
+        if self.ended and not (self.out or self.closed or self.stream):
+            self.close()  # no more requests can come
 
-    def log_request(self, status: int) -> None:
-        if logger.isEnabledFor(logging.DEBUG):  # formatting costs every response
-            logger.debug('%s "%s" %s -', self.address_string(), self.requestline, status)
+    def flush(self) -> None:
+        """Send what the socket takes now, and watch for writability while
+        output is left. Once it is all sent, close if the connection is to
+        close, else watch for the next request (or a stream's end)."""
+        if self.closed:
+            return
+        out = self.out
+        progressed = False
+        while out:
+            try:
+                sent = self.sock.send(memoryview(out[0])[self.sent:] if self.sent else out[0])
+            except BlockingIOError:
+                break
+            except OSError:  # the client has gone
+                return self.close()
+            progressed = True
+            self.sent += sent
+            if self.sent < len(out[0]):
+                break
+            out.popleft()
+            self.sent = 0
+        mask = selectors.EVENT_READ
+        if out:
+            if progressed or not self.mask & selectors.EVENT_WRITE:
+                self.servient._arm(self, TIMEOUT_SECONDS)  # that long without progress closes
+            mask = selectors.EVENT_WRITE | (selectors.EVENT_READ if self.stream else 0)
+        elif self.close_connection and self.stream is None:
+            return self.close()
+        elif progressed:  # idle from now on
+            self.servient._arm(self, HEARTBEAT_SECONDS if self.stream else TIMEOUT_SECONDS)
+        if mask != self.mask:
+            self.mask = mask
+            self.servient._selector.modify(self.sock, mask, self.on_event)
+
+    def expire(self) -> None:
+        """An idle stream gets a heartbeat; any other connection was idle, or
+        too slow to send its request or to read its answer, and closes."""
+        if self.stream is not None and not self.out:
+            self.out.append(_HEARTBEAT)
+            self.flush()
+        else:
+            self.close()
+
+    def send_message(self, chunk: bytes) -> None:
+        """Queue one framed stream message. A client more than
+        SUBSCRIPTION_BUFFER messages behind loses the oldest whole ones; the
+        first in line stays, as it may be partly sent."""
+        if len(self.out) > SUBSCRIPTION_BUFFER:
+            del self.out[1]
+            self.dropped += 1
+        self.out.append(chunk)
+        self.flush()
+
+    def end_stream(self) -> None:
+        self._leave_stream()
+        self.out.append(b"0\r\n\r\n")
+        self.flush()
+
+    def _leave_stream(self) -> None:
+        streams, self.stream = self.stream, None
+        streams.discard(self)
+        if self.dropped:
+            logger.warning("%s: the stream of event %r to %s dropped %d message(s)",
+                           streams.thing.title, streams.name, self.client, self.dropped)
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            if self.stream is not None:
+                self._leave_stream()
+            self.servient._forget(self)
+            self.sock.close()
 
     # --- responses -------------------------------------------------------
 
     def _respond(self, status: int, body: bytes | None = None,
                  content_type: str = "application/json",
                  headers: dict | None = None) -> None:
-        """Send a complete response; no body (as for 204) when body is None,
+        """Queue a complete response; no body (as for 204) when body is None,
         and none but its Content-Length for a HEAD request.
 
         The connection stays open for the next request unless the request's
         body is unread, the status is a 5xx or the client asked to close.
         """
         head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: {SERVER_NAME}\r\n"
-                f"Date: {self.date_time_string()}\r\n")
+                f"Date: {_http_date(int(time.time()))}\r\n")
         if body is not None:
             head += f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
         for name, value in (headers or {}).items():
@@ -248,26 +381,25 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         if self._body_unread or status >= 500 or self.close_connection:
             self.close_connection = True
             head += "Connection: close\r\n"
-        self.log_request(status)
+        if logger.isEnabledFor(logging.DEBUG):  # formatting costs every response
+            request = self.command and "%s %s HTTP/%d.%d" % (self.command, self.path,
+                                                            *self.version)
+            logger.debug('%s "%s" %s -', self.client, request, status)
         # Head and body leave in one send: split in two, a kept-alive
         # response waits on Nagle and the client's delayed ACK.
         data = head.encode("latin-1") + b"\r\n"
-        self.wfile.write(data if body is None or self.command == "HEAD" else data + body)
-
-    def _respond_json(self, status: int, value, headers: dict | None = None) -> None:
-        self._respond(status, _encode(value), headers=headers)
+        self.out.append(data if body is None or self.command == "HEAD" else data + body)
 
     def _respond_error(self, status: int, message: str, violations=None,
                        headers: dict | None = None) -> None:
         doc: dict = {"error": message}
         if violations is not None:
             doc["violations"] = [v.as_dict() for v in violations]
-        self._respond_json(status, doc, headers)
+        self._respond(status, _encode(doc), headers=headers)
 
     # --- dispatch --------------------------------------------------------
 
     def _dispatch(self):
-        self._streaming = False  # set once event-stream headers are out
         transfer_coded = "transfer-encoding" in self.headers
         # True while the request declares body bytes that no handler has read.
         # A response sent then closes the connection, so those bytes are never
@@ -281,9 +413,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             parts = [unquote(part) for part in urlsplit(self.path).path.split("/") if part]
             shape = (len(parts), parts[1] if len(parts) > 1 else None)
             route = _ROUTES.get((self.command, *shape))
-            thing = self.server.things.get(parts[0]) if parts else None
-            if route is None and thing is not None and self.command not in _ROUTED_METHODS:
-                # A method no route takes, on a path that some route takes.
+            thing = self.servient._things.get(parts[0]) if parts else None
+            if route is None and thing is not None:
+                # A method that no route takes on a path shape that some route takes.
                 allowed = [method for method, *routed in _ROUTES if tuple(routed) == shape]
                 if allowed:
                     return self._respond_error(405, f"{self.command} is not allowed here",
@@ -303,11 +435,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             self._respond_error(400, f"malformed JSON body: {exc}")
         except _Refused as exc:
             self._respond_error(*exc.args)
-        except (BrokenPipeError, ConnectionResetError, TimeoutError):
-            self.close_connection = True
-        except Exception as exc:  # never let a handler thread die silently
+        except Exception as exc:
             logger.exception("%s %s failed", self.command, self.path)
-            if not self._streaming:  # a stream's status line is already sent
+            if not self.out:  # nothing answered yet
                 self._respond_error(500, str(exc))
 
     def _wrong_media_type(self) -> bool:
@@ -316,23 +446,14 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         return content_type.split(";", 1)[0].strip().lower() != "application/json"
 
     def _read_body(self) -> bytes:
-        lengths = self.headers.get("content-length", ["0"])
-        if len(lengths) > 1:  # which one frames the body is ambiguous
-            raise _Refused(400, "more than one Content-Length header")
-        text = lengths[0].strip()
-        if not (text.isascii() and text.isdigit()):
-            raise _Refused(400, f"Content-Length {text!r} is not a non-negative integer")
-        length = int(text)
-        if length > MAX_BODY_BYTES:
-            raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = self.rfile.read(length) if length else b""
+        _content_length(self.headers)  # raises its refusal, if any
         self._body_unread = False
-        return body
+        return self.body
 
     # --- routes ----------------------------------------------------------
 
     def _get_td(self, thing: VirtualThing):
-        self._respond(200, self.server.td_bodies[thing.title], TD_CONTENT_TYPE)
+        self._respond(200, self.servient._td_bodies[thing.title], TD_CONTENT_TYPE)
 
     def _read_all(self, thing: VirtualThing):
         self._respond(200, thing.read_all_properties_json())
@@ -349,7 +470,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         value = _loads(body.decode("utf-8")) if body.strip() else MISSING
         output = thing.invoke_action(name, value)
         if is_present(output):
-            self._respond_json(200, output)
+            self._respond(200, _encode(output))
         else:
             self._respond(204)
 
@@ -357,21 +478,12 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         accept = self.headers.get("accept", ["*/*"])[0]
         if "text/event-stream" not in accept and "*/*" not in accept:
             return self._respond_error(406, "event streams are served as text/event-stream")
-        subscription = thing.subscribe_event(name)
-        try:
-            self.close_connection = True
-            # Chunked framing so clients see each message as soon as it is sent;
-            # a plain read-to-close body would sit in their buffers.
-            self._respond(200, headers=_STREAM_HEADERS)
-            self._streaming = True
-            for data in subscription.encoded(HEARTBEAT_SECONDS):
-                self._write_chunk(b":\n\n" if data is None else b"data: " + data + b"\n\n")
-            self._write_chunk(b"")
-        finally:
-            subscription.close()
-
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
+        self.stream = self.servient._streams_of(thing, name)
+        self.stream.add(self)
+        self.close_connection = True
+        # Chunked framing so clients see each message as soon as it is sent;
+        # a plain read-to-close body would sit in their buffers.
+        self._respond(200, headers=_STREAM_HEADERS)
 
 
 _STREAM_HEADERS = {"Content-Type": "text/event-stream", "Cache-Control": "no-cache",
@@ -379,36 +491,79 @@ _STREAM_HEADERS = {"Content-Type": "text/event-stream", "Cache-Control": "no-cac
 
 # (method, path segment count, second segment) -> route handler
 _ROUTES = {
-    ("GET", 1, None): _RequestHandler._get_td,
-    ("GET", 2, "properties"): _RequestHandler._read_all,
-    ("GET", 3, "properties"): _RequestHandler._read_property,
-    ("PUT", 3, "properties"): _RequestHandler._write_property,
-    ("POST", 3, "actions"): _RequestHandler._invoke_action,
-    ("GET", 3, "events"): _RequestHandler._event_stream,
+    ("GET", 1, None): _Connection._get_td,
+    ("GET", 2, "properties"): _Connection._read_all,
+    ("GET", 3, "properties"): _Connection._read_property,
+    ("PUT", 3, "properties"): _Connection._write_property,
+    ("POST", 3, "actions"): _Connection._invoke_action,
+    ("GET", 3, "events"): _Connection._event_stream,
 }
-_ROUTED_METHODS = {method for method, _, _ in _ROUTES}
+
+
+class _EventStreams(set):
+    """The connections streaming one event, and the servient's one
+    subscription to it, whose emissions are framed once for all of them."""
+
+    def __init__(self, servient: ServerHandle, thing: VirtualThing, name: str):
+        super().__init__()
+        self.servient, self.thing, self.name = servient, thing, name
+        self.subscription = thing.subscribe_event(name, lambda: servient._notify(self))
+
+    def deliver(self) -> None:
+        """Send the emissions queued so far to every stream, or end the
+        streams once the Thing has stopped its events."""
+        while self:
+            try:
+                data = json.dumps(self.subscription.get(timeout=0), separators=(",", ":"),
+                                  allow_nan=False).encode("utf-8")
+            except queue.Empty:
+                return
+            except EOFError:
+                for stream in list(self):
+                    stream.end_stream()
+            except (TypeError, ValueError):  # cannot be sent: end the streams unfinished
+                logger.exception("%s: an emission of event %r is not JSON",
+                                 self.thing.title, self.name)
+                for stream in list(self):
+                    stream.close()
+            else:
+                chunk = _chunk(b"data: " + data + b"\n\n")
+                for stream in list(self):
+                    stream.send_message(chunk)
+
+    def discard(self, connection: _Connection) -> None:
+        super().discard(connection)
+        if not self:  # the last stream has gone
+            self.subscription.close()
+            self.servient._event_streams.pop((self.thing.title, self.name), None)
 
 
 class ServerHandle:
-    """A running servient; supports graceful shutdown."""
+    """A running servient: its loop runs on one thread until stop()."""
 
-    def __init__(self, server: _ServientServer, things: list[VirtualThing],
+    def __init__(self, listener: socket.socket, things: dict[str, VirtualThing],
                  config: ServientConfig):
-        self._server = server
-        self.things = things
+        self.things = list(things.values())
         self.config = config
-        self._thread = threading.Thread(
-            target=server.serve_forever, daemon=True, name="wotsim-http"
-        )
-        self._events_stop = threading.Event()
+        self.port = listener.getsockname()[1]
+        self._stopping = False
+        self._listener = listener
+        self._things = things  # keyed by (decoded) Thing title
+        # The exposed TD is immutable, so its body is encoded once.
+        self._td_bodies = {title: serialize_td(thing.exposed_td, indent=2).encode("utf-8")
+                           for title, thing in things.items()}
+        self._selector = selectors.DefaultSelector()
+        self._wakeup, self._waker = socket.socketpair()
+        for sock in (listener, self._wakeup, self._waker):
+            sock.setblocking(False)
+        self._connections: set[_Connection] = set()
+        self._event_streams: dict[tuple[str, str], _EventStreams] = {}
+        self._ready: collections.deque[_EventStreams] = collections.deque()  # to deliver
+        self._next_sweep = math.inf  # no connection expires earlier
+        self._loop_thread: int | None = None
+        self._thread = threading.Thread(target=self._run, daemon=True, name="wotsim-loop")
 
     def start(self) -> None:
-        events = [(thing, name) for thing in self.things for name in thing.original_td.events]
-        self._events_thread = threading.Thread(
-            target=run_events, args=(events, RealClock(self._events_stop)),
-            daemon=True, name="wotsim-events",
-        )
-        self._events_thread.start()
         self._thread.start()
         logger.info("servient listening on %s", self.base_url)
 
@@ -417,24 +572,126 @@ class ServerHandle:
         return self.config.address
 
     @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
     def base_url(self) -> str:
-        return f"http://{self.address}:{self.port}"
+        return self.config.base_url
+
+    def wait(self) -> None:
+        """Block until the loop has ended."""
+        self._thread.join()
 
     def stop(self) -> None:
-        """Stop the event scheduler, end event streams and kept-alive
-        connections, finish in-flight responses."""
-        self._events_stop.set()
-        self._events_thread.join(timeout=5.0)
+        """Stop emitting events, end event streams with their last chunk, let
+        the responses in flight go out (for up to STOP_SECONDS) and close
+        every connection."""
+        self._stopping = True
+        self._wake()
+        self._thread.join(timeout=STOP_SECONDS + 1.0)
+
+    def _run(self) -> None:
+        if hasattr(signal, "pthread_sigmask"):  # so that they reach the main thread
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        self._loop_thread = threading.get_ident()
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wakeup, selectors.EVENT_READ, self._woken)
+        gaps = schedule_events([(thing, name) for thing in self.things
+                                for name in thing.original_td.events])
+        due = next_due(None, next(gaps, math.inf), time.monotonic())
+        try:
+            while not self._stopping:
+                timeout = min(due, self._next_sweep) - time.monotonic()
+                for key, mask in self._selector.select(
+                        None if timeout == math.inf else max(timeout, 0.0)):
+                    key.data(mask)
+                now = time.monotonic()
+                while due <= now:  # resuming the schedule emits the event that is due
+                    due = next_due(due, next(gaps, math.inf), time.monotonic())
+                while self._ready:
+                    self._ready.popleft().deliver()
+                if now >= self._next_sweep:
+                    for connection in [c for c in self._connections if c.deadline <= now]:
+                        connection.expire()
+                    self._next_sweep = min((c.deadline for c in self._connections),
+                                           default=math.inf)
+            self._shut_down()
+        except Exception:
+            logger.exception("the servient's loop failed")
+        finally:
+            for connection in list(self._connections):
+                connection.close()
+            for sock in (self._listener, self._wakeup, self._waker):
+                sock.close()
+            self._selector.close()
+
+    def _shut_down(self) -> None:
+        self._selector.unregister(self._listener)
         for thing in self.things:
-            thing.stop_events()
-        self._server.shutdown()
-        self._server.end_connections(timeout=5.0)
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+            thing.stop_events()  # which ends every stream
+        while self._ready:
+            self._ready.popleft().deliver()
+        for connection in list(self._connections):
+            connection.close_connection = True
+            if not connection.out:
+                connection.close()
+        deadline = time.monotonic() + STOP_SECONDS
+        while self._connections and (left := deadline - time.monotonic()) > 0:
+            for key, mask in self._selector.select(left):
+                key.data(mask)
+
+    def _accept(self, mask: int) -> None:
+        while True:
+            try:
+                sock, address = self._listener.accept()
+            except OSError:  # none left to accept, or out of file descriptors
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(self, sock, address[0])
+            if len(self._connections) >= MAX_CONNECTIONS:
+                connection._respond_error(503, "too many connections")
+                try:
+                    sock.send(connection.out[0])
+                except OSError:  # the client has gone already
+                    pass
+                sock.close()
+                continue
+            self._connections.add(connection)
+            self._selector.register(sock, selectors.EVENT_READ, connection.on_event)
+            self._arm(connection, TIMEOUT_SECONDS)
+
+    def _forget(self, connection: _Connection) -> None:
+        self._connections.discard(connection)
+        self._selector.unregister(connection.sock)
+
+    def _arm(self, connection: _Connection, seconds: float) -> None:
+        """Expire the connection `seconds` from now, unless armed again first."""
+        connection.deadline = deadline = time.monotonic() + seconds
+        if deadline < self._next_sweep:
+            self._next_sweep = deadline
+
+    def _streams_of(self, thing: VirtualThing, name: str) -> _EventStreams:
+        key = (thing.title, name)
+        if key not in self._event_streams:
+            self._event_streams[key] = _EventStreams(self, thing, name)
+        return self._event_streams[key]
+
+    def _notify(self, streams: _EventStreams) -> None:
+        """An emission was queued to the streams' subscription (on the thread
+        that emitted, with the Thing's lock held)."""
+        self._ready.append(streams)
+        if threading.get_ident() != self._loop_thread:
+            self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # a wakeup is pending already, or the loop has ended
+            pass
+
+    def _woken(self, mask: int) -> None:
+        try:
+            self._wakeup.recv(4096)
+        except OSError:
+            pass
 
 
 def serve(things: list[VirtualThing], config: ServientConfig) -> ServerHandle:
@@ -451,9 +708,11 @@ def serve(things: list[VirtualThing], config: ServientConfig) -> ServerHandle:
             )
         registry[thing.title] = thing
     try:
-        server = _ServientServer((config.address, config.port), registry)
+        family = socket.getaddrinfo(config.address, config.port, type=socket.SOCK_STREAM)[0][0]
+        listener = socket.create_server((config.address, config.port), family=family,
+                                        backlog=socket.SOMAXCONN)
     except OSError as exc:
         raise BindFailure(f"cannot bind {config.address}:{config.port}: {exc}") from exc
-    handle = ServerHandle(server, things, config)
+    handle = ServerHandle(listener, registry, config)
     handle.start()
     return handle

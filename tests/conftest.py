@@ -1,5 +1,4 @@
 import socket
-import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -45,10 +44,9 @@ def running_server(td_texts, *, seed=None, event_mode=None, overrides=None):
         handle.stop()
 
 
-def handler_threads() -> int:
-    """Live threads serving a connection, across every servient in the process."""
-    return sum(1 for thread in threading.enumerate()
-               if thread.name.endswith("(process_request_thread)"))
+def open_connections(handle) -> int:
+    """Client connections the servient holds open."""
+    return len(handle._connections)
 
 
 def wait_for(condition, seconds: float) -> bool:

@@ -15,7 +15,7 @@ from wotsim import BindFailure, EventMode, ServientConfig, build_config, load_co
 from wotsim import cli, server
 from wotsim.cli import _parse_interval_flags, main, probe_target, ProbeError
 
-from conftest import (FIXTURE_DIR, fixture_text, free_port, handler_threads,
+from conftest import (FIXTURE_DIR, fixture_text, free_port, open_connections,
                       running_server, wait_for)
 
 
@@ -258,6 +258,27 @@ class TestRunProcess:
         process, _ = start_run_process("--event-mode", "none")
         assert stop_run_process(process, signum) == 0
 
+    def test_sigterm_just_after_a_hundred_streams_end_exits_at_once(self):
+        process, port = start_run_process("--event-mode", "fixed:0.005",
+                                          tds=("thermostat.td.json",))
+        try:
+            streams = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                       for _ in range(100)]
+            for stream in streams:
+                stream.sendall(b"GET /Thermostat-42/events/alarm HTTP/1.1\r\nHost: x\r\n"
+                               b"Accept: text/event-stream\r\n\r\n")
+                assert stream.recv(64).startswith(b"HTTP/1.1 200")
+            for stream in streams:
+                stream.close()
+            started = time.monotonic()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=5) == 0
+            assert time.monotonic() - started < 5
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
     def test_serves_after_startup(self):
         process, port = start_run_process("--event-mode", "none", "--seed", "8")
         try:
@@ -433,16 +454,17 @@ class TestProbe:
         assert all(c.passed for c in checks)
 
     def test_probe_closes_its_connections(self, coffee_text, monkeypatch):
-        # An event stream's handler notices a closed client only when it writes;
-        # with the event in mode none, that write is a heartbeat.
+        # The servient notices a closed stream when its client's FIN arrives; a
+        # short heartbeat would also make a write find it, with the event in
+        # mode none.
         monkeypatch.setattr(server, "HEARTBEAT_SECONDS", 0.1)
         td = json.loads(coffee_text)
         del td["events"]
         for text in (json.dumps(td), coffee_text):
             with running_server([text], seed=5) as handle:
-                before = handler_threads()
+                before = open_connections(handle)
                 probe_target(f"{handle.base_url}/Coffee-Machine", duration=0.2, seed=3)
-                assert wait_for(lambda: handler_threads() <= before, 1.0)
+                assert wait_for(lambda: open_connections(handle) <= before, 1.0)
 
     def test_probe_error_for_refused_connection(self):
         with pytest.raises(ProbeError):
@@ -450,11 +472,11 @@ class TestProbe:
 
     def test_probe_error_releases_its_connection(self, coffee_text):
         with running_server([coffee_text]) as handle:
-            before = handler_threads()
+            before = open_connections(handle)
             with pytest.raises(ProbeError) as caught:  # kept, with its traceback
                 probe_target(f"{handle.base_url}/Tea-Kettle")
             assert "404" in str(caught.value)
-            assert wait_for(lambda: handler_threads() <= before, 1.0)
+            assert wait_for(lambda: open_connections(handle) <= before, 1.0)
 
     def test_event_watch_ends_with_its_window(self, coffee_text, monkeypatch):
         # A heartbeat every 0.4 s keeps the stream from ever idling for the

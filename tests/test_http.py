@@ -6,9 +6,9 @@ import json
 import logging
 import re
 import socket
+import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 import requests
@@ -27,7 +27,7 @@ from wotsim import (
 from wotsim import server
 from wotsim.td import MAX_JSON_DEPTH
 
-from conftest import fixture_text, free_port, handler_threads, running_server, wait_for
+from conftest import fixture_text, free_port, open_connections, running_server, wait_for
 
 TIMEOUT = 5
 
@@ -166,7 +166,8 @@ class TestActionRoutes:
         with running_server([coffee_text]) as handle:
             reply = requests.get(f"{handle.base_url}/Coffee-Machine/actions/brew",
                                  timeout=TIMEOUT)
-        assert reply.status_code == 404
+        assert reply.status_code == 405
+        assert reply.headers["Allow"] == "POST"
 
 
 class TestEventRoutes:
@@ -475,7 +476,7 @@ class TestRequestFraming:
         assert status == 204 and "connection" not in headers
 
     def test_short_body_times_out_without_a_500(self, coffee_text, monkeypatch, caplog):
-        monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
+        monkeypatch.setattr(server, "TIMEOUT_SECONDS", 0.2)
         with running_server([coffee_text]) as handle:
             started = time.monotonic()
             answer = raw_exchange(handle.port, self.PUT_HEAD
@@ -635,21 +636,21 @@ class TestPersistentConnections:
         assert all("connection" not in headers for _, headers in answers)
 
     def test_idle_connection_is_released(self, coffee_text, monkeypatch):
-        monkeypatch.setattr(server._RequestHandler, "timeout", 0.2)
+        monkeypatch.setattr(server, "TIMEOUT_SECONDS", 0.2)
         with running_server([coffee_text]) as handle:
-            before = handler_threads()
+            before = open_connections(handle)
             with socket.create_connection(("127.0.0.1", handle.port),
                                           timeout=TIMEOUT) as sock, \
                     sock.makefile("rb") as reader:
                 sock.sendall(http_request("GET", "/Coffee-Machine"))
                 assert read_response(reader)[0] == 200
-                assert wait_for(lambda: handler_threads() <= before, 1.0)
+                assert wait_for(lambda: open_connections(handle) <= before, 1.0)
                 assert reader.read() == b""
 
     def test_stop_ends_kept_alive_connections(self, coffee_text):
         request = http_request("GET", "/Coffee-Machine")
         with running_server([coffee_text]) as handle:
-            before = handler_threads()
+            before = open_connections(handle)
             with socket.create_connection(("127.0.0.1", handle.port),
                                           timeout=TIMEOUT) as sock, \
                     sock.makefile("rb") as reader:
@@ -662,7 +663,7 @@ class TestPersistentConnections:
                 except ConnectionError:  # a reset is an end as well
                     answer = b""
             assert answer == b""
-            assert wait_for(lambda: handler_threads() <= before, 1.0)
+            assert wait_for(lambda: open_connections(handle) <= before, 1.0)
 
 
 # --- the request head ---------------------------------------------------------
@@ -842,6 +843,19 @@ PATH_SHAPES = [
 ]
 UNROUTED = [(method, path) for method in ("GET", "PUT", "POST")
             for path in PATH_SHAPES if (method, path) not in ROUTED]
+# Those of them on a path of a known Thing whose shape a route takes with
+# another method, and the methods that path takes: 405, not 404.
+NOT_ALLOWED_HERE = {
+    ("PUT", "/Coffee-Machine"): "GET",
+    ("POST", "/Coffee-Machine"): "GET",
+    ("PUT", "/Coffee-Machine/properties"): "GET",
+    ("POST", "/Coffee-Machine/properties"): "GET",
+    ("POST", "/Coffee-Machine/properties/state"): "GET, PUT",
+    ("GET", "/Coffee-Machine/actions/brew"): "POST",
+    ("PUT", "/Coffee-Machine/actions/brew"): "POST",
+    ("PUT", "/Coffee-Machine/events/error"): "GET",
+    ("POST", "/Coffee-Machine/events/error"): "GET",
+}
 
 
 @pytest.fixture(scope="module")
@@ -854,8 +868,13 @@ def coffee_servient():
 def test_pairs_outside_the_route_table_are_not_found(coffee_servient, method, path):
     reply = requests.request(method, coffee_servient.base_url + path, json="Ready",
                              timeout=TIMEOUT)
-    assert reply.status_code == 404
-    assert reply.json() == {"error": "not found"}
+    if (method, path) in NOT_ALLOWED_HERE:
+        assert reply.status_code == 405
+        assert reply.headers["Allow"] == NOT_ALLOWED_HERE[method, path]
+        assert reply.json() == {"error": f"{method} is not allowed here"}
+    else:
+        assert reply.status_code == 404
+        assert reply.json() == {"error": "not found"}
 
 
 def test_td_body_is_serialized_once_per_thing(coffee_text, monkeypatch):
@@ -885,7 +904,7 @@ def test_stream_failure_after_headers_sends_no_error_document(coffee_text):
             while b"\r\n\r\n" not in answer:
                 answer += sock.recv(65536)
             (subscription,) = thing._subscribers["error"]
-            subscription._queue.put(float("nan"))  # not encodable as JSON
+            subscription._put(float("nan"))  # not encodable as JSON
             while chunk := sock.recv(65536):
                 answer += chunk
     assert answer.startswith(b"HTTP/1.1 200")
@@ -894,10 +913,10 @@ def test_stream_failure_after_headers_sends_no_error_document(coffee_text):
 
 
 def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, capsys):
-    def broken_parse(self):
+    def broken_parse(rfile):
         raise RuntimeError("parser exploded")
 
-    monkeypatch.setattr(server._RequestHandler, "parse_request", broken_parse)
+    monkeypatch.setattr(server, "_read_head", broken_parse)
     with running_server([coffee_text]) as handle:
         answer = raw_exchange(handle.port, b"GET /Coffee-Machine HTTP/1.1\r\n\r\n")
     assert answer == b""
@@ -909,13 +928,13 @@ def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, 
 
 def test_debug_line_is_formatted_only_when_debug_is_on(coffee_text, monkeypatch, caplog):
     formatted = []
-    original = server._RequestHandler.address_string
+    original = server.logger.debug
 
-    def counted(self):
-        formatted.append(self)
-        return original(self)
+    def counted(*args):
+        formatted.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(server._RequestHandler, "address_string", counted)
+    monkeypatch.setattr(server.logger, "debug", counted)
     with running_server([coffee_text]) as handle:
         url = f"{handle.base_url}/Coffee-Machine/properties/state"
         with caplog.at_level(logging.INFO, logger="wotsim.server"):
@@ -937,10 +956,162 @@ def test_date_is_formatted_once_per_second(monkeypatch):
         return original(timeval, usegmt=usegmt)
 
     monkeypatch.setattr(server.email.utils, "formatdate", counted)
-    monkeypatch.setattr(server, "time", SimpleNamespace(time=iter([7.1, 7.9, 8.2]).__next__))
     server._http_date.cache_clear()
-    handler = server._RequestHandler.__new__(server._RequestHandler)
-    dates = [handler.date_time_string() for _ in range(3)]
+    dates = [server._http_date(int(t)) for t in (7.1, 7.9, 8.2)]
     assert dates == [original(7, usegmt=True)] * 2 + [original(8, usegmt=True)]
     assert formatted == [7, 8]
-    assert handler.date_time_string(9.5) == original(9.5, usegmt=True)
+    assert server._http_date(9) == original(9, usegmt=True)
+
+
+# --- one loop serves every connection -----------------------------------------
+
+STREAM_REQUEST = (b"GET /Coffee-Machine/events/error HTTP/1.1\r\nHost: x\r\n"
+                  b"Accept: text/event-stream\r\n\r\n")
+
+
+def test_slow_head_is_closed_at_its_deadline(coffee_text, monkeypatch):
+    monkeypatch.setattr(server, "TIMEOUT_SECONDS", 1.0)
+    head = http_request("GET", "/Coffee-Machine")
+    with running_server([coffee_text]) as handle, \
+            socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as sock:
+        started = time.monotonic()
+        answer = None
+        for byte in head:  # one byte every 0.5 s: each read comes well in time
+            try:
+                sock.sendall(bytes([byte]))
+            except ConnectionError:
+                answer = b""
+                break
+            time.sleep(0.5)
+            sock.setblocking(False)
+            try:
+                answer = sock.recv(65536)
+            except BlockingIOError:
+                continue
+            except ConnectionError:
+                answer = b""
+            finally:
+                sock.setblocking(True)
+            break
+        elapsed = time.monotonic() - started
+    assert answer == b""
+    assert 1.0 <= elapsed < 2.0
+
+
+def test_idle_connections_and_streams_hold_no_thread(coffee_text):
+    with running_server([coffee_text], seed=3, event_mode=EventMode.fixed(0.05)) as handle:
+        address = ("127.0.0.1", handle.port)
+        before = threading.active_count()
+        sockets = []
+        try:
+            for _ in range(200):
+                sockets.append(socket.create_connection(address, timeout=TIMEOUT))
+            for _ in range(100):
+                stream = socket.create_connection(address, timeout=TIMEOUT)
+                sockets.append(stream)
+                stream.sendall(STREAM_REQUEST)
+                assert stream.recv(64).startswith(b"HTTP/1.1 200")
+            assert wait_for(lambda: open_connections(handle) == 300, 2.0)
+            assert threading.active_count() == before
+        finally:
+            for sock in sockets:
+                sock.close()
+
+
+def test_connection_past_the_cap_is_refused_with_503(coffee_text, monkeypatch):
+    monkeypatch.setattr(server, "MAX_CONNECTIONS", 4)
+    with running_server([coffee_text]) as handle:
+        address = ("127.0.0.1", handle.port)
+        held = [socket.create_connection(address, timeout=TIMEOUT) for _ in range(4)]
+        try:
+            for sock in held:  # each is served, so each has been accepted
+                sock.sendall(http_request("GET", "/Coffee-Machine"))
+                with sock.makefile("rb") as reader:
+                    assert read_response(reader)[0] == 200
+            with socket.create_connection(address, timeout=TIMEOUT) as fifth, \
+                    fifth.makefile("rb") as reader:
+                status, headers, body = read_response(reader)
+                assert reader.read() == b""
+        finally:
+            for sock in held:
+                sock.close()
+    assert (status, headers["connection"]) == (503, "close")
+    assert json.loads(body) == {"error": "too many connections"}
+
+
+BIG_EVENT_TD = json.dumps({
+    "title": "Camera",
+    "events": {"frame": {"forms": [{"href": "/e"}], "data": {
+        "type": "array", "minItems": 300, "maxItems": 300, "items": {"type": "string"}}}},
+})
+
+
+def test_stream_that_is_not_read_keeps_a_bounded_buffer(monkeypatch, caplog):
+    monkeypatch.setattr(server, "SUBSCRIPTION_BUFFER", 8)
+    with running_server([BIG_EVENT_TD], seed=2, event_mode=EventMode.fixed(0.002)) as handle:
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(TIMEOUT)
+        sock.connect(("127.0.0.1", handle.port))
+        with sock:
+            sock.sendall(b"GET /Camera/events/frame HTTP/1.1\r\nHost: x\r\n"
+                         b"Accept: text/event-stream\r\n\r\n")
+            assert wait_for(lambda: handle._connections, 2.0)
+            (stream,) = handle._connections
+            assert wait_for(lambda: stream.dropped > 20, 10.0)
+            assert len(stream.out) <= 8 + 1
+        assert wait_for(lambda: not handle._connections, 2.0)
+    ends = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    assert len(ends) == 1 and f"dropped {stream.dropped} message(s)" in ends[0]
+
+
+def test_served_on_ipv6_loopback_with_bracketed_hrefs(coffee_text):
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+            port = probe.getsockname()[1]
+    except OSError:
+        pytest.skip("this host cannot bind ::1")
+    config = ServientConfig(address="::1", port=port, event_mode=EventMode.none(), seed=1)
+    handle = serve([VirtualThing(parse_td(coffee_text), config)], config)
+    try:
+        assert handle.base_url == f"http://[::1]:{port}"
+        td = requests.get(f"{handle.base_url}/Coffee-Machine", timeout=TIMEOUT).json()
+        href = td["properties"]["state"]["forms"][0]["href"]
+        reply = requests.get(href, timeout=TIMEOUT)
+    finally:
+        handle.stop()
+    assert href == f"http://[::1]:{port}/Coffee-Machine/properties/state"
+    assert reply.status_code == 200 and reply.json() in ["Ready", "Brewing", "Error"]
+
+
+def test_emissions_from_many_threads_reach_every_stream(coffee_text):
+    request = STREAM_REQUEST
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # so the emitting threads interleave finely
+    try:
+        with running_server([coffee_text], seed=3) as handle:
+            thing = handle.things[0]
+            streams = [socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT)
+                       for _ in range(2)]
+            for sock in streams:
+                sock.sendall(request)
+                assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+            emitters = [threading.Thread(target=lambda: [thing.emit_event("error")
+                                                         for _ in range(50)])
+                        for _ in range(4)]
+            for emitter in emitters:
+                emitter.start()
+            for emitter in emitters:
+                emitter.join(timeout=10)
+                assert not emitter.is_alive()
+            received = []
+            for sock in streams:
+                data = b""
+                while data.count(b"data: ") < 200:
+                    data += sock.recv(65536)
+                received.append(data.count(b"data: "))
+                sock.close()
+    finally:
+        sys.setswitchinterval(switch)
+    assert received == [200, 200]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import queue
+import socket
 import threading
 import time
 
@@ -279,15 +280,26 @@ class TestEvents:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        thing = make_thing("coffee-machine.td.json", seed=4)
-        subs = [thing.subscribe_event("error") for _ in range(3)]
-        counted(runtime.json, "dumps")
-        counted(runtime.copy, "deepcopy")
-        payload = thing.emit_event("error")
-        assert calls == {"dumps": 1, "deepcopy": 0}
-        first, second, third = (next(sub.encoded(0)) for sub in subs)
-        assert first is second is third
-        assert first == json.dumps(payload).encode("utf-8")
+        request = (b"GET /Coffee-Machine/events/error HTTP/1.1\r\nHost: x\r\n"
+                   b"Accept: text/event-stream\r\n\r\n")
+        with running_server([fixture_text("coffee-machine.td.json")], seed=4) as handle:
+            streams = [socket.create_connection(("127.0.0.1", handle.port), timeout=5)
+                       for _ in range(3)]
+            for sock in streams:
+                sock.sendall(request)
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):  # sent once the stream is on
+                    head += sock.recv(1)
+            counted(runtime.json, "dumps")
+            counted(runtime.copy, "deepcopy")
+            payload = handle.things[0].emit_event("error")
+            first, second, third = (sock.recv(4096) for sock in streams)
+            assert calls == {"dumps": 1, "deepcopy": 0}
+            for sock in streams:
+                sock.close()
+        assert first == second == third
+        data = b"data: " + json.dumps(payload).encode("utf-8") + b"\n\n"
+        assert first == b"%X\r\n%s\r\n" % (len(data), data)
 
 
 class TestEventLoop:
@@ -411,10 +423,10 @@ class TestScheduler:
                  "dice-box.td.json", "sensor-hub.td.json", "thermostat.td.json")]
 
         def schedulers():
-            return [t.name for t in threading.enumerate() if t.name.startswith("wotsim-events")]
+            return [t.name for t in threading.enumerate() if t.name.startswith("wotsim-")]
 
         with running_server(texts, seed=1, event_mode=EventMode.fixed(0.05)):
-            assert schedulers() == ["wotsim-events"]
+            assert schedulers() == ["wotsim-loop"]
         assert schedulers() == []
 
     def test_real_clock_waits_from_due_time_to_due_time(self):
