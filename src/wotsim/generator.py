@@ -4,13 +4,14 @@ The contract is soundness: for any satisfiable schema, validate(schema,
 generate(schema, rng)) holds. Keyword precedence when several are present is
 const > enum > oneOf > type. Generation is fully deterministic for a given
 (schema, seed) pair. Each schema is prepared once into a Plan, kept on the
-schema, that both generate and minimal_value run.
+schema, whose draw writes a value's JSON text directly; generate and
+minimal_value decode that text.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import json
 import logging
 import math
 import random
@@ -60,18 +61,32 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def json_text(value: Json) -> str:
+    """The JSON text of a value, as every served body writes it."""
+    return _ENCODER.encode(value)
+
+
 def generate(schema: DataSchema, rng: RandomSource, depth: int = 0) -> Json:
     """Produce a random value conforming to the schema.
 
     Raises Unsatisfiable when no conforming value exists (e.g. const/enum
     conflicting with the declared type, or an empty integer range).
     """
-    return prepare(schema).draw(rng._random, depth)
+    return json.loads(prepare(schema).draw(rng._random, depth))
+
+
+def generate_json(schema: DataSchema, rng: RandomSource) -> str:
+    """generate's value as the JSON text json_text would write for it, drawn
+    without building the value."""
+    return prepare(schema).draw(rng._random, 0)
 
 
 def minimal_value(schema: DataSchema) -> Json:
     """Shallowest conforming value, used when the depth cap is reached."""
-    return prepare(schema).minimal()
+    return json.loads(_minimal(prepare(schema)))
 
 
 def prepare(schema: DataSchema) -> Plan:
@@ -86,14 +101,14 @@ def prepare(schema: DataSchema) -> Plan:
 
 
 _ONE_OF_FAILURE = "every oneOf branch conflicts with the enclosing keywords"
-_BOOLEANS = (False, True)
+_BOOLEANS = ("false", "true")
 
 
-def _fixed(value: Json):
-    """Copier of one fixed value: a fresh copy of a container, a scalar as is."""
-    if isinstance(value, (list, dict)):
-        return lambda: copy.deepcopy(value)
-    return lambda: value
+def _minimal(plan: Plan) -> str:
+    """The plan's minimal text; raises Unsatisfiable when it has none."""
+    if plan.minimal is None:
+        raise Unsatisfiable(plan.minimal_failure)
+    return plan.minimal
 
 
 def _draw_one_of(branches: list):
@@ -115,11 +130,44 @@ def _draw_one_of(branches: list):
     return draw_one_of
 
 
-class Plan:
-    """A schema compiled once, with its kind decided once, into two closures:
-    ``draw(r, depth)`` over a ``random.Random``, and ``minimal()``, which
-    builds a fresh shallowest conforming value on each call.
+def _draw_number(lo, hi):
+    """The draw of a number in [lo, hi]: uniform, rounded to 6 decimals unless
+    rounding would leave the range, written as json_text writes the float."""
+    span = hi - lo  # random.uniform's own arithmetic, bit for bit
 
+    def rounded_text(drawn: float) -> str:
+        rounded = round(drawn, 6)
+        # Rounding must not escape a very narrow range.
+        return repr(rounded if lo <= rounded <= hi else drawn)
+
+    if span == math.inf:  # wider than a double: lo < 0 < hi, and the sum cannot overflow
+        def draw_wide(r, depth):
+            u = r.random()
+            return rounded_text(lo * (1.0 - u) + hi * u)
+        return draw_wide
+    if round(lo, 6) != lo or round(hi, 6) != hi:
+        return lambda r, depth: rounded_text(lo + span * r.random())
+
+    def draw_number(r, depth):
+        drawn = lo + span * r.random()
+        if 1e-4 <= drawn < 1e9 or -1e9 < drawn <= -1e-4:
+            # One correctly rounded conversion, as round(drawn, 6) makes: at
+            # most 15 significant digits, so it is also that float's repr. The
+            # bounds are 6-decimal values, so the rounding stays inside them.
+            text = ("%.6f" % drawn).rstrip("0")
+            return text + "0" if text[-1] == "." else text
+        return rounded_text(drawn)  # repr would use an exponent
+    return draw_number
+
+
+class Plan:
+    """A schema compiled once, with its kind decided once, into a closure
+    ``draw(r, depth)`` over a ``random.Random`` that returns the JSON text of
+    a conforming value, written as json_text writes that value.
+
+    ``minimal`` is the JSON text of the shallowest conforming value, which a
+    container draws at the depth cap, built once; when no such value exists
+    it is None and ``minimal_failure`` holds the Unsatisfiable message.
     ``failure`` is the Unsatisfiable message that every draw raises before
     using the random source, or None; ``certain_failure`` also finds the
     draws that all fail only after using it, from ``kind`` and the member
@@ -128,10 +176,16 @@ class Plan:
 
     def __init__(self, schema: DataSchema):
         self.failure: str | None = None
-        self.draw, self.minimal = self._compile(schema)
+        self.draw, build_minimal = self._compile(schema)
+        self.minimal: str | None = None
+        self.minimal_failure: str | None = None
+        try:
+            self.minimal = build_minimal()
+        except Unsatisfiable as exc:
+            self.minimal_failure = str(exc)
 
     def _fail(self, message: str):
-        """The draw and the minimal value of a plan nothing conforms to."""
+        """The draw and the minimal builder of a plan nothing conforms to."""
         self.failure = message
 
         def fail(*args):
@@ -139,39 +193,32 @@ class Plan:
         return fail, fail
 
     def _compile(self, schema: DataSchema):
-        """The (draw, minimal) closures of the schema's kind. Members and
-        bounds are resolved and member closures bound here, so neither closure
-        dispatches on anything."""
+        """The draw closure of the schema's kind and the builder of its minimal
+        text, run once. Members, bounds and fixed texts are resolved and member
+        draws bound here, so the draw dispatches on nothing."""
         if is_present(schema.const_value):
             self.kind = "const"
             if not validate(schema, schema.const_value).valid:
                 return self._fail("const value conflicts with the other keywords")
-            fixed = _fixed(schema.const_value)
-            return (lambda r, depth: fixed()), fixed
+            text = json_text(schema.const_value)
+            return (lambda r, depth: text), lambda: text
         if schema.enum_values is not None:
             self.kind = "enum"
-            members = [v for v in schema.enum_values if validate(schema, v).valid]
+            members = [json_text(v) for v in schema.enum_values if validate(schema, v).valid]
             if not members:
                 return self._fail("no enum member conforms to the other keywords")
-            copiers = [_fixed(m) for m in members]
-            if any(isinstance(m, (list, dict)) for m in members):
-                return (lambda r, depth: r.choice(copiers)()), copiers[0]
-            return (lambda r, depth: r.choice(members)), copiers[0]
+            return (lambda r, depth: r.choice(members)), lambda: members[0]
         if schema.one_of is not None:
             self.kind = "oneOf"
             merged = [m for b in schema.one_of if (m := merge_branch(schema, b)) is not None]
             self.branches = [(nesting_depth(m), prepare(m)) for m in merged]
             if not self.branches:
                 return self._fail(_ONE_OF_FAILURE)
-            shallowest_first = [plan.minimal for _, plan in
-                                sorted(self.branches, key=lambda branch: branch[0])]
 
             def minimal_one_of():
-                for minimal in shallowest_first:
-                    try:
-                        return minimal()
-                    except Unsatisfiable:
-                        continue
+                for _, plan in sorted(self.branches, key=lambda branch: branch[0]):
+                    if plan.minimal is not None:
+                        return plan.minimal
                 raise Unsatisfiable(_ONE_OF_FAILURE)
             draws = [(nesting, plan.draw) for nesting, plan in self.branches]
             return _draw_one_of(draws), minimal_one_of
@@ -184,65 +231,57 @@ class Plan:
             kind = "null"
         self.kind = kind
         if kind == "null":
-            return (lambda r, depth: None), _fixed(None)
+            return (lambda r, depth: "null"), lambda: "null"
         if kind == "boolean":
-            return (lambda r, depth: r.choice(_BOOLEANS)), _fixed(False)
+            return (lambda r, depth: r.choice(_BOOLEANS)), lambda: "false"
         if kind == "integer":
             lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -128, 127)
             lo, hi = int(math.ceil(lo)), int(math.floor(hi))
             if lo > hi:
                 return self._fail(f"no integer exists in [{schema.minimum}, {schema.maximum}]")
-            return (lambda r, depth: r.randint(lo, hi)), _fixed(lo)
+            return (lambda r, depth: repr(r.randint(lo, hi))), lambda: repr(lo)
         if kind == "number":
             lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
-            span = hi - lo  # random.uniform's own arithmetic, bit for bit
-
-            def draw_number(r, depth):
-                drawn = lo + span * r.random()
-                rounded = round(drawn, 6)
-                # Rounding must not escape a very narrow range.
-                return rounded if lo <= rounded <= hi else drawn
-            return draw_number, _fixed(float(lo))
+            return _draw_number(lo, hi), lambda: json_text(float(lo))
         if kind == "string":
             def draw_string(r, depth):
                 choice = r.choice
-                return "".join([choice(string.ascii_lowercase)
-                                for _ in range(r.randint(4, 16))])
-            return draw_string, _fixed("")
+                return '"' + "".join([choice(string.ascii_lowercase)
+                                      for _ in range(r.randint(4, 16))]) + '"'
+            return draw_string, lambda: '""'
         if kind == "array":
-            self.items = prepare(schema.items or DataSchema())
+            self.items = items = prepare(schema.items or DataSchema())
             self.lo = lo = schema.min_items if schema.min_items is not None else 0
             hi = schema.max_items if schema.max_items is not None else lo + 5
-            draw_item, minimal_item = self.items.draw, self.items.minimal
-
-            def minimal_array():
-                return [minimal_item() for _ in range(lo)]
+            draw_item = items.draw
 
             def draw_array(r, depth):
                 if depth >= DEPTH_CAP:
-                    return minimal_array()
+                    return _minimal(self)
                 depth += 1
-                return [draw_item(r, depth) for _ in range(r.randint(lo, hi))]
-            return draw_array, minimal_array
+                return "[" + ", ".join([draw_item(r, depth)
+                                        for _ in range(r.randint(lo, hi))]) + "]"
+            return draw_array, lambda: "[" + ", ".join([_minimal(items) for _ in range(lo)]) + "]"
         self.properties = {n: prepare(s) for n, s in (schema.properties or {}).items()}
-        members = [(name, plan.draw) for name, plan in self.properties.items()]
+        keys = {name: json_text(name) + ": " for name in self.properties}
+        members = [(keys[name], plan.draw) for name, plan in self.properties.items()]
         required = dict.fromkeys(schema.required or ())
-        undescribed = [name for name in required if name not in self.properties]
-        minimal_members = [(name, self.properties[name].minimal if name in self.properties
-                            else _fixed(None)) for name in required]
+        # Required but never described: always null.
+        undescribed = [json_text(name) + ": null" for name in required
+                       if name not in self.properties]
 
         def minimal_object():
-            return {name: minimal() for name, minimal in minimal_members}
+            return "{" + ", ".join([keys[name] + _minimal(self.properties[name])
+                                    if name in self.properties else json_text(name) + ": null"
+                                    for name in required]) + "}"
 
         def draw_object(r, depth):
             if depth >= DEPTH_CAP:
-                return minimal_object()
+                return _minimal(self)
             depth += 1
             # Every described property is included, not only the required ones.
-            result = {name: draw(r, depth) for name, draw in members}
-            for name in undescribed:
-                result[name] = None  # required but never described
-            return result
+            parts = [key + draw(r, depth) for key, draw in members]
+            return "{" + ", ".join(parts + undescribed) + "}"
         return draw_object, minimal_object
 
     def certain_failure(self, depth: int = 0) -> str | None:
@@ -258,11 +297,7 @@ class Plan:
         if self.kind not in ("array", "object"):
             return None
         if depth >= DEPTH_CAP:
-            try:
-                self.minimal()
-            except Unsatisfiable as exc:
-                return str(exc)
-            return None
+            return self.minimal_failure
         if self.kind == "array":
             return self.items.certain_failure(depth + 1) if self.lo >= 1 else None
         failures = (plan.certain_failure(depth + 1) for plan in self.properties.values())

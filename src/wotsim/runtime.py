@@ -33,7 +33,7 @@ from .errors import (
     UnknownProperty,
     Unsatisfiable,
 )
-from .generator import RandomSource, generate, prepare
+from .generator import RandomSource, generate, generate_json, json_text, prepare
 from .model import MISSING, Form, Json, ThingDescription, is_present
 from .validator import Violation, compile_checker, validate
 
@@ -42,7 +42,7 @@ logger = logging.getLogger(__name__)
 
 def _encode(value: Json) -> bytes:
     """The UTF-8 JSON body of a property value."""
-    return json.dumps(value, ensure_ascii=False, allow_nan=False).encode("utf-8")
+    return json_text(value).encode("utf-8")
 
 
 def url_segment(name: str) -> str:
@@ -230,13 +230,13 @@ class VirtualThing:
 
     def read_property_json(self, name: str) -> bytes:
         """read_property's value as the UTF-8 JSON the HTTP binding serves: a
-        written value as it was encoded when written, else a fresh draw."""
+        written value as it was encoded when written, else a fresh draw's text."""
         with self._lock:  # held across the draw, so a write cannot land between
             encoded = self._written(name)
             if encoded is not None:
                 return encoded
-            value = self.read_property(name)
-        return _encode(value)
+            text = generate_json(self.original_td.properties[name].data_schema, self.rng)
+        return text.encode("utf-8")
 
     def _written(self, name: str) -> bytes | None:
         """Encoded written value of the property, None if never written."""
@@ -274,14 +274,16 @@ class VirtualThing:
     def read_all_properties_json(self) -> bytes:
         """read_all_properties as the UTF-8 JSON the HTTP binding serves,
         byte for byte: written values as they were encoded when written,
-        fresh draws encoded now."""
-        names = self.original_td.properties
+        fresh draws as their text."""
+        properties = self.original_td.properties
         with self._lock:  # one snapshot: no write lands between two members
             written = dict(self._store)
-            drawn = {name: self.read_property(name) for name in names if name not in written}
+            drawn = {name: generate_json(aff.data_schema, self.rng)
+                     for name, aff in properties.items() if name not in written}
         return b"{" + b", ".join(
-            _encode(name) + b": " + (written[name] if name in written else _encode(drawn[name]))
-            for name in names) + b"}"
+            _encode(name) + b": " + (written[name] if name in written
+                                     else drawn[name].encode("utf-8"))
+            for name in properties) + b"}"
 
     # --- actions --------------------------------------------------------
 
@@ -292,24 +294,38 @@ class VirtualThing:
         without an input schema accept and ignore any input.
         """
         with self._lock:
-            aff = self.original_td.actions.get(name)
-            if aff is None:
-                raise UnknownAction(f"no action named {name!r}")
-            if aff.input is not None:
-                if not is_present(input_value):
-                    raise MissingInput(
-                        f"action {name!r} requires an input",
-                        [Violation("", "required", f"action {name!r} requires an input")],
-                    )
-                result = validate(aff.input, input_value)
-                if not result.valid:
-                    raise InvalidInput(
-                        f"input does not conform to the schema of action {name!r}",
-                        result.violations,
-                    )
-            if aff.output is None:
-                return MISSING
-            return generate(aff.output, self.rng)
+            output = self._output_of(name, input_value)
+            return MISSING if output is None else generate(output, self.rng)
+
+    def invoke_action_json(self, name: str, input_value: Json = MISSING) -> bytes | None:
+        """invoke_action's output as the UTF-8 JSON the HTTP binding serves,
+        drawn as text; None when the action declares no output schema."""
+        with self._lock:
+            output = self._output_of(name, input_value)
+            if output is None:
+                return None
+            text = generate_json(output, self.rng)
+        return text.encode("utf-8")
+
+    def _output_of(self, name: str, input_value: Json):
+        """The action's output schema (None if it declares none), once its
+        input is accepted; raises UnknownAction, MissingInput or InvalidInput."""
+        aff = self.original_td.actions.get(name)
+        if aff is None:
+            raise UnknownAction(f"no action named {name!r}")
+        if aff.input is not None:
+            if not is_present(input_value):
+                raise MissingInput(
+                    f"action {name!r} requires an input",
+                    [Violation("", "required", f"action {name!r} requires an input")],
+                )
+            result = validate(aff.input, input_value)
+            if not result.valid:
+                raise InvalidInput(
+                    f"input does not conform to the schema of action {name!r}",
+                    result.violations,
+                )
+        return aff.output
 
     # --- events ---------------------------------------------------------
 

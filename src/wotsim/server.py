@@ -45,7 +45,7 @@ from .errors import (
     UnknownProperty,
     ValidationFailed,
 )
-from .model import MISSING, is_present
+from .model import MISSING
 from .runtime import SUBSCRIPTION_BUFFER, VirtualThing, _encode, next_due, schedule_events
 from .td import _loads, serialize_td
 
@@ -468,11 +468,11 @@ class _Connection:
     def _invoke_action(self, thing: VirtualThing, name: str):
         body = self._read_body()
         value = _loads(body.decode("utf-8")) if body.strip() else MISSING
-        output = thing.invoke_action(name, value)
-        if is_present(output):
-            self._respond(200, _encode(output))
-        else:
+        output = thing.invoke_action_json(name, value)
+        if output is None:
             self._respond(204)
+        else:
+            self._respond(200, output)
 
     def _event_stream(self, thing: VirtualThing, name: str):
         accept = self.headers.get("accept", ["*/*"])[0]

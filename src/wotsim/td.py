@@ -53,11 +53,13 @@ def _finite_number(text: str) -> float:
 
 
 def _pairs_last_wins(pairs: list[tuple[str, Json]]) -> dict:
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            logger.warning("duplicate JSON member %r: last occurrence wins", key)
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                logger.warning("duplicate JSON member %r: last occurrence wins", key)
+            seen.add(key)
     return obj
 
 
@@ -66,33 +68,61 @@ def _pairs_last_wins(pairs: list[tuple[str, Json]]) -> dict:
 MAX_JSON_DEPTH = 128
 
 _ESCAPE = re.compile(rb"\\.")
+# Kept outside strings: brackets, the quotes that delimit strings, commas (so
+# that one number's digits do not run on into the next one's), digits, written
+# as 0, and the letter of an exponent, written as e.
+_SCANNED = bytes.maketrans(b"123456789E", b"000000000e")
+_NOT_SCANNED = bytes(sorted(set(range(256)) - set(b'[]{}",0123456789eE')))
 _BRACKETS = bytes.maketrans(b"[]{}", b"()()")
-_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[]{}")))
+# A double holds every number literal without an exponent and with fewer than
+# 309 digits (a run here may join a literal's integer and fraction digits).
+_EXPONENT = re.compile(rb"e(?<=0e)")  # the 'e' of true and false follows no digit
+_LONG_RUN = b"0" * 309
 
 
-def _nesting_depth(text: str) -> int:
-    """Deepest container nesting of JSON text, found without recursion."""
+def _scan(text: str) -> tuple[int, bool]:
+    """Deepest container nesting of JSON text, found without recursion, and
+    whether any number literal in it may overflow a double."""
     raw = text.encode("utf-8", "surrogatepass")
     if b"\\" in raw:
         raw = _ESCAPE.sub(b"", raw)  # so that no escaped quote ends a string
-    outside = b"".join(raw.translate(_BRACKETS, _NOT_BRACKET).split(b'"')[::2])
+    outside = b"".join(raw.translate(_SCANNED, _NOT_SCANNED).split(b'"')[::2])
+    may_overflow = _EXPONENT.search(outside) is not None or _LONG_RUN in outside
     # The openers up to each closer, less the closers before it.
-    opened = itertools.accumulate(map(len, outside.split(b")")))
-    return max(map(operator.sub, opened, itertools.count()))
+    brackets = outside.translate(_BRACKETS, _NOT_BRACKET)
+    opened = itertools.accumulate(map(len, brackets.split(b")")))
+    return max(map(operator.sub, opened, itertools.count())), may_overflow
+
+
+# Both decoders refuse NaN and Infinity. The checking one also converts every
+# float through _finite_number, to refuse a literal that overflows; the other
+# leaves floats to the C scanner, for text in which no literal can overflow.
+_CHECKING = json.JSONDecoder(object_pairs_hook=_pairs_last_wins,
+                             parse_constant=_finite_number, parse_float=_finite_number)
+_FAST = json.JSONDecoder(object_pairs_hook=_pairs_last_wins, parse_constant=_finite_number)
 
 
 def _loads(text: str) -> Json:
-    if _nesting_depth(text) > MAX_JSON_DEPTH:
+    depth, may_overflow = _scan(text)
+    if depth > MAX_JSON_DEPTH:
         raise MalformedJson(f"JSON nested deeper than {MAX_JSON_DEPTH} levels")
     try:
-        return json.loads(
-            text,
-            object_pairs_hook=_pairs_last_wins,
-            parse_constant=_finite_number,
-            parse_float=_finite_number,
-        )
+        return (_CHECKING if may_overflow else _FAST).decode(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise MalformedJson(f"invalid JSON: {exc}") from exc
+
+
+def _refuse_lone_surrogates(text: str, doc: Json) -> None:
+    """Raise MalformedJson if a string of the decoded document holds a lone
+    surrogate, which no UTF-8 document (such as the served TD) can carry: as
+    itself, in text given as str, or written as a \\u escape."""
+    try:
+        text.encode("utf-8")
+        if "\\ud" in text or "\\uD" in text:  # may escape a surrogate
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedJson(f"a string holds a lone surrogate: {exc}") from exc
 
 
 def _is_number(value: object) -> bool:
@@ -264,8 +294,9 @@ def _parse_event(name: str, obj: Json) -> EventAffordance:
 def parse_td(text: str | bytes) -> ThingDescription:
     """Parse TD JSON text into a ThingDescription.
 
-    Raises MalformedJson, NotAnObject, MissingTitle, InvalidSchemaBounds or
-    TypeMismatch. Missing properties/actions/events sections yield empty maps.
+    Raises MalformedJson (a lone surrogate included), NotAnObject,
+    MissingTitle, InvalidSchemaBounds or TypeMismatch. Missing
+    properties/actions/events sections yield empty maps.
     """
     if isinstance(text, bytes):
         try:
@@ -273,6 +304,7 @@ def parse_td(text: str | bytes) -> ThingDescription:
         except UnicodeDecodeError as exc:
             raise MalformedJson(f"TD text is not valid UTF-8: {exc}") from exc
     doc = _loads(text)
+    _refuse_lone_surrogates(text, doc)
     if not isinstance(doc, dict):
         raise NotAnObject("a Thing Description must be a JSON object")
 

@@ -148,6 +148,15 @@ class TestRunErrors:
         code, err = self.run_main(capsys, str(path))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("member", ['"enum": ["\\ud800"]', '"maximum": NaN'])
+    def test_td_that_json_cannot_carry(self, capsys, tmp_path, member):
+        path = tmp_path / "x.td.json"
+        path.write_text('{"title": "T", "properties": {"p": {%s, "forms": [{"href": "/p"}]}}}'
+                        % member)
+        code, err = self.run_main(capsys, str(path), "--port", str(free_port()),
+                                  "--event-mode", "none")
+        assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_bad_event_mode_flag(self, capsys):
         path = str(FIXTURE_DIR / "coffee-machine.td.json")
         code, err = self.run_main(capsys, path, "--event-mode", "hourly")

@@ -1,8 +1,9 @@
+import json
 import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wotsim import (
@@ -14,6 +15,8 @@ from wotsim import (
     minimal_value,
     validate,
 )
+from wotsim.generator import generate_json
+from wotsim.runtime import _encode
 
 from tdgen import random_schema
 
@@ -131,6 +134,11 @@ class TestBounds:
         doc = {"type": "number", "minimum": 0.12345671, "maximum": 0.12345672}
         for v in draws(doc, 26, 100):
             assert 0.12345671 <= v <= 0.12345672
+
+    def test_range_wider_than_a_double_stays_inside(self):
+        values = draws({"type": "number", "minimum": -1e308, "maximum": 1e308}, 29, 300)
+        assert all(-1e308 <= v <= 1e308 for v in values)
+        assert min(values) < -1e307 and max(values) > 1e307  # spans the range
 
     def test_bounds_without_type_give_numbers(self):
         values = draws({"minimum": 3, "maximum": 4}, 27, 50)
@@ -272,4 +280,35 @@ def test_generated_values_validate(schema_seed, rng_seed):
     doc = random_schema(random.Random(schema_seed), depth=3)
     schema = extract_schema(doc)
     value = generate(schema, RandomSource(rng_seed))
+    assert validate(schema, value).valid
+
+
+def _numbers(minimum: float, maximum: float) -> dict:
+    """Forty numbers drawn in [minimum, maximum]."""
+    return {"type": "array", "minItems": 40, "maxItems": 40,
+            "items": {"type": "number", "minimum": minimum, "maximum": maximum}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9).map(lambda seed: random_schema(random.Random(seed), depth=3)),
+       st.integers(0, 2**64 - 1))
+# The edges of the number format: |x| on each side of 1e-4 and just below 1e9,
+# draws that round to a whole number, bounds that rounding to 6 decimals moves,
+# -0.0, and a span wider than a double.
+@example(_numbers(0.000099, 0.000101), 1)
+@example(_numbers(-0.000101, -0.000099), 2)
+@example(_numbers(999999999.5, 1000000000.5), 3)
+@example(_numbers(-1000000000.5, -999999999.5), 4)
+@example(_numbers(3.0, 3.000001), 5)
+@example(_numbers(0.1234567, 0.1234568), 6)
+@example(_numbers(-0.000001, 0.000001), 7)
+@example(_numbers(-1e308, 1e308), 8)
+def test_drawn_text_is_the_encoding_of_a_conforming_value(doc, rng_seed):
+    schema = extract_schema(doc)
+    try:
+        text = generate_json(schema, RandomSource(rng_seed))
+    except Unsatisfiable:
+        return
+    value = json.loads(text)
+    assert _encode(value) == text.encode("utf-8")
     assert validate(schema, value).valid

@@ -329,6 +329,18 @@ class TestServerLifecycle:
 NUMBER_TD = json.dumps({
     "title": "Meter",
     "properties": {"level": {"type": "number", "forms": [{"href": "/p"}]}},
+    "actions": {"adjust": {"input": {"type": "number"}, "forms": [{"href": "/a"}]}},
+})
+
+# JSON numbers a double cannot hold: the constants, exponents past its range in
+# each spelling, and a float whose integer part alone overflows.
+NON_FINITE_LITERALS = ["NaN", "-Infinity", "1e999", "-1E400", "1e+0400", "1" * 400 + ".5"]
+
+WIDE = {"type": "number", "minimum": -1e308, "maximum": 1e308}
+WIDE_TD = json.dumps({
+    "title": "Wide",
+    "properties": {"span": dict(WIDE, forms=[{"href": "/p"}])},
+    "actions": {"spread": {"output": WIDE, "forms": [{"href": "/a"}]}},
 })
 
 
@@ -359,6 +371,28 @@ class TestNonFiniteNumbers:
         assert put.status_code == 400
         assert "error" in put.json()
         assert single.status_code == 200 and everything.status_code == 200
+
+    @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+    def test_literal_is_refused_on_both_body_routes(self, literal):
+        # The action route never encodes its input, so only the decoder can
+        # refuse a non-finite number there.
+        headers = {"Content-Type": "application/json"}
+        with running_server([NUMBER_TD]) as handle:
+            put = requests.put(f"{handle.base_url}/Meter/properties/level",
+                               data=literal.encode(), headers=headers, timeout=TIMEOUT)
+            post = requests.post(f"{handle.base_url}/Meter/actions/adjust",
+                                 data=literal.encode(), headers=headers, timeout=TIMEOUT)
+        assert (put.status_code, post.status_code) == (400, 400)
+        assert "malformed JSON" in put.json()["error"] and "malformed JSON" in post.json()["error"]
+
+    def test_range_wider_than_a_double_is_served(self):
+        with running_server([WIDE_TD], seed=3) as handle:
+            answers = [requests.get(f"{handle.base_url}/Wide/properties/span", timeout=TIMEOUT),
+                       requests.get(f"{handle.base_url}/Wide/properties", timeout=TIMEOUT),
+                       requests.post(f"{handle.base_url}/Wide/actions/spread", timeout=TIMEOUT)]
+        assert [answer.status_code for answer in answers] == [200, 200, 200]
+        values = [answers[0].json(), answers[1].json()["span"], answers[2].json()]
+        assert all(-1e308 <= value <= 1e308 for value in values)
 
 
 NOTE_TD = json.dumps({
@@ -593,7 +627,7 @@ class TestPersistentConnections:
         def broken_read(self, name):
             raise RuntimeError("store exploded")
 
-        monkeypatch.setattr(VirtualThing, "read_property", broken_read)
+        monkeypatch.setattr(VirtualThing, "read_property_json", broken_read)
         request = http_request("GET", "/Coffee-Machine/properties/state")
         with running_server([coffee_text]) as handle:
             answer = raw_exchange(handle.port, request + request)

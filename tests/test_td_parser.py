@@ -70,6 +70,20 @@ class TestParseTd:
         with pytest.raises(MalformedJson):
             parse_td('{"title": "T", "x": Infinity}')
 
+    @pytest.mark.parametrize("text", [
+        '{"title": "T", "x": "\\ud800"}',
+        '{"title": "T", "x": ["a\\uDC00b"]}',
+        '{"title": "T", "\\udbff": 1}',
+        '{"title": "T", "x": "\ud800"}',
+    ])
+    def test_lone_surrogate_rejected(self, text):
+        with pytest.raises(MalformedJson, match="lone surrogate"):
+            parse_td(text)
+
+    def test_surrogate_pair_and_escaped_backslash_accepted(self):
+        td = parse_td('{"title": "T \\ud83d\\ude00", "x": "\\\\ud800"}')
+        assert td.title == "T \U0001f600" and td.extra["x"] == "\\ud800"
+
     @pytest.mark.parametrize("bound", ["1e999", "-1e999"])
     def test_overflowing_number_rejected(self, bound):
         text = '{"title": "T", "properties": {"p": {"type": "number", "maximum": %s}}}'
