@@ -36,7 +36,7 @@ from .model import (
     ThingDescription,
     is_present,
 )
-from .runtime import RealClock, VirtualThing, rewrite_td, url_segment
+from .runtime import VirtualThing, rewrite_td, url_segment
 from .server import ServerHandle, serve
 from .td import extract_schema, parse_td, serialize_td
 from .validator import ValidationResult, Violation, json_equal, validate
@@ -62,7 +62,6 @@ __all__ = [
     "PropertyAffordance",
     "RandomSource",
     "ReadOnlyProperty",
-    "RealClock",
     "ServerHandle",
     "ServientConfig",
     "ThingDescription",

@@ -16,6 +16,7 @@ import logging
 import math
 import random
 import string
+import sys
 
 from .errors import Unsatisfiable
 from .model import DataSchema, Json, is_present
@@ -28,6 +29,7 @@ logger = logging.getLogger(__name__)
 DEPTH_CAP = 8
 
 _U64 = (1 << 64) - 1
+_DOUBLE_MAX = sys.float_info.max
 
 
 class RandomSource:
@@ -241,7 +243,15 @@ class Plan:
                 return self._fail(f"no integer exists in [{schema.minimum}, {schema.maximum}]")
             return (lambda r, depth: repr(r.randint(lo, hi))), lambda: repr(lo)
         if kind == "number":
-            lo, hi = _resolve_bounds(schema.minimum, schema.maximum, -100.0, 100.0)
+            # Draws are doubles: a bound past the largest one is clamped to it,
+            # and a range left empty by that holds no double.
+            minimum, maximum = schema.minimum, schema.maximum
+            lo, hi = _resolve_bounds(None if minimum is None else max(minimum, -_DOUBLE_MAX),
+                                     None if maximum is None else min(maximum, _DOUBLE_MAX),
+                                     -100.0, 100.0)
+            lo, hi = max(lo, -_DOUBLE_MAX), min(hi, _DOUBLE_MAX)
+            if lo > hi:
+                return self._fail("no double lies within the number's bounds")
             return _draw_number(lo, hi), lambda: json_text(float(lo))
         if kind == "string":
             def draw_string(r, depth):

@@ -6,8 +6,8 @@ instance lock makes property reads/writes linearizable and keeps the
 request-facing RandomSource single-owner. One schedule, ``schedule_events``,
 times every event of a servient; each event draws its gaps and payloads from
 its own derived RandomSource, so background emissions never perturb the
-request-visible draw sequence. Each emission's payload is shared by all of
-its subscribers.
+request-visible draw sequence. Each emission's JSON text is drawn once, and
+its UTF-8 bytes are shared by all of its subscribers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import logging
 import queue
 import threading
-import time
 from urllib.parse import quote
 
 from .config import RANDOM_INTERVAL_RANGE, ServientConfig
@@ -33,6 +32,7 @@ from .errors import (
     UnknownProperty,
     Unsatisfiable,
 )
+# Nothing here calls generate; bench/tracing.py wraps it as runtime.generate.
 from .generator import RandomSource, generate, generate_json, json_text, prepare
 from .model import MISSING, Form, Json, ThingDescription, is_present
 from .validator import Violation, compile_checker, validate
@@ -85,21 +85,6 @@ def next_due(previous: float | None, seconds: float, now: float) -> float:
     return max(now, (now if previous is None else previous) + seconds)
 
 
-class RealClock:
-    """Wall-clock waiting on a schedule of due times (see next_due),
-    interruptible through a stop event."""
-
-    def __init__(self, stop: threading.Event):
-        self._stop = stop
-        self._due: float | None = None  # on time.monotonic()
-
-    def wait(self, seconds: float) -> bool:
-        """Wait until `seconds` after the previous wait was due; True means
-        "stop the loop now"."""
-        self._due = next_due(self._due, seconds, time.monotonic())
-        return self._stop.wait(self._due - time.monotonic())
-
-
 def schedule_events(events: list[tuple["VirtualThing", str]]):
     """Every (thing, event name) pair on its own schedule, in due-time order:
     yields the gap before each emission, and emits it when resumed. Events in
@@ -140,10 +125,12 @@ class EventSubscription:
     """Receives every emission of one event between subscribe and close.
 
     Iterating blocks for each payload and ends once the Thing stops its events.
-    Payloads are shared by every subscriber and must not be modified. A reader
-    that falls more than SUBSCRIPTION_BUFFER messages behind loses the oldest
-    ones; `dropped` counts them. `notify`, if given, is called after each
-    message is queued, on the emitting thread with the Thing's lock held.
+    Each emission is queued as the UTF-8 bytes of its JSON text, the same bytes
+    for every subscriber: `get_json` returns them and `get` a fresh decoded
+    payload. A reader that falls more than SUBSCRIPTION_BUFFER messages behind
+    loses the oldest ones; `dropped` counts them. `notify`, if given, is called
+    after each message is queued, on the emitting thread with the Thing's lock
+    held.
     """
 
     def __init__(self, thing: "VirtualThing", event_name: str, notify=None):
@@ -151,7 +138,7 @@ class EventSubscription:
         self.event_name = event_name
         self.dropped = 0
         self._notify = notify
-        self._queue: queue.Queue = queue.Queue()  # payloads, then the end
+        self._queue: queue.Queue = queue.Queue()  # payloads as UTF-8 JSON, then the end
 
     def _put(self, message) -> None:
         # Callers hold the Thing's lock, so only the reader runs alongside,
@@ -163,14 +150,18 @@ class EventSubscription:
         if self._notify is not None:
             self._notify()
 
-    def get(self, timeout: float | None = None) -> Json:
-        """Next payload; raises queue.Empty when the timeout elapses, and
-        EOFError once the Thing has stopped its events."""
+    def get_json(self, timeout: float | None = None) -> bytes:
+        """Next payload as UTF-8 JSON; raises queue.Empty when the timeout
+        elapses, and EOFError once the Thing has stopped its events."""
         message = self._queue.get(timeout=timeout)
         if message is _END_OF_STREAM:
             self._queue.put(message)  # every later get ends as well
             raise EOFError("the Thing has stopped its events")
         return message
+
+    def get(self, timeout: float | None = None) -> Json:
+        """Next payload, decoded afresh; raises as get_json does."""
+        return json.loads(self.get_json(timeout))
 
     def __iter__(self):
         while True:
@@ -220,16 +211,12 @@ class VirtualThing:
     # --- properties -----------------------------------------------------
 
     def read_property(self, name: str) -> Json:
-        """Written value if one exists (a fresh copy), else a fresh value from
-        the schema."""
-        with self._lock:
-            encoded = self._written(name)
-            if encoded is None:
-                return generate(self.original_td.properties[name].data_schema, self.rng)
-        return json.loads(encoded)
+        """The written value if one exists, else a fresh draw: the bytes of
+        read_property_json, decoded afresh."""
+        return json.loads(self.read_property_json(name))
 
     def read_property_json(self, name: str) -> bytes:
-        """read_property's value as the UTF-8 JSON the HTTP binding serves: a
+        """The property's value as the UTF-8 JSON the HTTP binding serves: a
         written value as it was encoded when written, else a fresh draw's text."""
         with self._lock:  # held across the draw, so a write cannot land between
             encoded = self._written(name)
@@ -269,12 +256,13 @@ class VirtualThing:
                 ) from exc
 
     def read_all_properties(self) -> dict[str, Json]:
-        return {name: self.read_property(name) for name in self.original_td.properties}
+        """read_all_properties_json's object, decoded afresh."""
+        return json.loads(self.read_all_properties_json())
 
     def read_all_properties_json(self) -> bytes:
-        """read_all_properties as the UTF-8 JSON the HTTP binding serves,
-        byte for byte: written values as they were encoded when written,
-        fresh draws as their text."""
+        """Every property's value as the UTF-8 JSON object the HTTP binding
+        serves: written values as they were encoded when written, fresh draws
+        as their text, in property order."""
         properties = self.original_td.properties
         with self._lock:  # one snapshot: no write lands between two members
             written = dict(self._store)
@@ -288,44 +276,36 @@ class VirtualThing:
     # --- actions --------------------------------------------------------
 
     def invoke_action(self, name: str, input_value: Json = MISSING) -> Json:
-        """Validate the input, then produce an output from the output schema.
-
-        Returns MISSING when the action declares no output schema. Actions
-        without an input schema accept and ignore any input.
-        """
-        with self._lock:
-            output = self._output_of(name, input_value)
-            return MISSING if output is None else generate(output, self.rng)
+        """invoke_action_json's output decoded, or MISSING when the action
+        declares no output schema."""
+        output = self.invoke_action_json(name, input_value)
+        return MISSING if output is None else json.loads(output)
 
     def invoke_action_json(self, name: str, input_value: Json = MISSING) -> bytes | None:
-        """invoke_action's output as the UTF-8 JSON the HTTP binding serves,
-        drawn as text; None when the action declares no output schema."""
+        """Validate the input, then draw an output from the output schema as
+        the UTF-8 JSON the HTTP binding serves; None when the action declares
+        no output schema. Actions without an input schema accept and ignore
+        any input. Raises UnknownAction, MissingInput or InvalidInput."""
         with self._lock:
-            output = self._output_of(name, input_value)
-            if output is None:
+            aff = self.original_td.actions.get(name)
+            if aff is None:
+                raise UnknownAction(f"no action named {name!r}")
+            if aff.input is not None:
+                if not is_present(input_value):
+                    raise MissingInput(
+                        f"action {name!r} requires an input",
+                        [Violation("", "required", f"action {name!r} requires an input")],
+                    )
+                result = validate(aff.input, input_value)
+                if not result.valid:
+                    raise InvalidInput(
+                        f"input does not conform to the schema of action {name!r}",
+                        result.violations,
+                    )
+            if aff.output is None:
                 return None
-            text = generate_json(output, self.rng)
+            text = generate_json(aff.output, self.rng)
         return text.encode("utf-8")
-
-    def _output_of(self, name: str, input_value: Json):
-        """The action's output schema (None if it declares none), once its
-        input is accepted; raises UnknownAction, MissingInput or InvalidInput."""
-        aff = self.original_td.actions.get(name)
-        if aff is None:
-            raise UnknownAction(f"no action named {name!r}")
-        if aff.input is not None:
-            if not is_present(input_value):
-                raise MissingInput(
-                    f"action {name!r} requires an input",
-                    [Violation("", "required", f"action {name!r} requires an input")],
-                )
-            result = validate(aff.input, input_value)
-            if not result.valid:
-                raise InvalidInput(
-                    f"input does not conform to the schema of action {name!r}",
-                    result.violations,
-                )
-        return aff.output
 
     # --- events ---------------------------------------------------------
 
@@ -345,18 +325,19 @@ class VirtualThing:
             self._subscribers[subscription.event_name].discard(subscription)
 
     def emit_event(self, name: str) -> Json:
-        """One emission: generate a payload and queue it to every subscriber."""
+        """One emission: draw the payload's JSON text once and queue its UTF-8
+        bytes to every subscriber. Returns the payload, decoded."""
         with self._lock:
             aff = self.original_td.events.get(name)
             if aff is None:
                 raise UnknownEvent(f"no event named {name!r}")
-            if aff.data is not None:
-                payload = generate(aff.data, self._event_rngs[name])
+            if aff.data is None:
+                data = b"null"
             else:
-                payload = None
+                data = generate_json(aff.data, self._event_rngs[name]).encode("utf-8")
             for subscription in self._subscribers[name]:
-                subscription._put(payload)
-            return payload
+                subscription._put(data)
+        return json.loads(data)
 
     def next_interval(self, name: str) -> float | None:
         """Seconds from one emission of the event to the next, None in mode

@@ -2,9 +2,10 @@
 
 Routes follow the convention ``/<thing>/{properties|actions|events}/<name>``;
 the rewritten TD of each Thing is served at ``/<thing>``. Event subscription
-uses Server-Sent Events: each emission is one ``data: <compact JSON>``
-message, and an idle stream gets a comment every HEARTBEAT_SECONDS. JSON is
-the only payload format on this binding.
+uses Server-Sent Events: each emission is one ``data: <JSON>`` message,
+carrying the JSON text the Thing drew, written as every response body is;
+an idle stream gets a comment every HEARTBEAT_SECONDS. JSON is the only
+payload format on this binding.
 
 One thread runs the servient's loop, on ``selectors``: it accepts
 connections, reads into a buffer per connection, answers each request inline,
@@ -21,7 +22,6 @@ import collections
 import email.utils
 import functools
 import io
-import json
 import logging
 import math
 import queue
@@ -143,8 +143,6 @@ def _version(text: str) -> tuple[int, int]:
     if match is None:
         raise _Refused(400, f"bad HTTP version {text!r}")
     return int(match[1]), int(match[2])
-
-
 
 
 class _Incomplete(Exception):
@@ -514,18 +512,12 @@ class _EventStreams(set):
         streams once the Thing has stopped its events."""
         while self:
             try:
-                data = json.dumps(self.subscription.get(timeout=0), separators=(",", ":"),
-                                  allow_nan=False).encode("utf-8")
+                data = self.subscription.get_json(timeout=0)
             except queue.Empty:
                 return
             except EOFError:
                 for stream in list(self):
                     stream.end_stream()
-            except (TypeError, ValueError):  # cannot be sent: end the streams unfinished
-                logger.exception("%s: an emission of event %r is not JSON",
-                                 self.thing.title, self.name)
-                for stream in list(self):
-                    stream.close()
             else:
                 chunk = _chunk(b"data: " + data + b"\n\n")
                 for stream in list(self):
@@ -566,10 +558,6 @@ class ServerHandle:
     def start(self) -> None:
         self._thread.start()
         logger.info("servient listening on %s", self.base_url)
-
-    @property
-    def address(self) -> str:
-        return self.config.address
 
     @property
     def base_url(self) -> str:

@@ -157,6 +157,15 @@ class TestRunErrors:
                                   "--event-mode", "none")
         assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    def test_number_range_past_the_largest_double(self, capsys, tmp_path):
+        path = tmp_path / "x.td.json"
+        path.write_text('{"title": "T", "properties": {"p": {"type": "number", '
+                        '"minimum": 1%s, "forms": [{"href": "/p"}]}}}' % ("0" * 400))
+        code, err = self.run_main(capsys, str(path), "--port", str(free_port()),
+                                  "--event-mode", "none")
+        assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "no double" in err
+
     def test_bad_event_mode_flag(self, capsys):
         path = str(FIXTURE_DIR / "coffee-machine.td.json")
         code, err = self.run_main(capsys, path, "--event-mode", "hourly")

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +140,26 @@ class TestBounds:
         values = draws({"type": "number", "minimum": -1e308, "maximum": 1e308}, 29, 300)
         assert all(-1e308 <= v <= 1e308 for v in values)
         assert min(values) < -1e307 and max(values) > 1e307  # spans the range
+
+    # An integer literal past a double's range, which JSON decodes as an int.
+    HUGE = 10**400
+
+    def test_bound_past_the_largest_double_is_clamped(self):
+        top = sys.float_info.max
+        assert draws({"type": "number", "maximum": self.HUGE}, 30, 5) == [top] * 5
+        assert draws({"type": "number", "minimum": -self.HUGE}, 30, 5) == [-top] * 5
+        values = draws({"type": "number", "minimum": 0, "maximum": self.HUGE}, 31, 300)
+        assert all(0 <= v <= top for v in values) and max(values) > 1e307
+        values = draws({"minimum": -self.HUGE, "maximum": self.HUGE}, 32, 300)
+        assert all(-top <= v <= top for v in values)
+        assert min(values) < -1e307 and max(values) > 1e307
+
+    @pytest.mark.parametrize("doc", [{"type": "number", "minimum": HUGE},
+                                     {"maximum": -HUGE},
+                                     {"type": "number", "minimum": HUGE, "maximum": HUGE * 10}])
+    def test_range_past_the_largest_double_is_unsatisfiable(self, doc):
+        with pytest.raises(Unsatisfiable, match="no double"):
+            draws(doc, 33, 1)
 
     def test_bounds_without_type_give_numbers(self):
         values = draws({"minimum": 3, "maximum": 4}, 27, 50)

@@ -16,7 +16,6 @@ from wotsim import (
     MissingInput,
     InvalidInput,
     ReadOnlyProperty,
-    RealClock,
     ServientConfig,
     UnknownAction,
     UnknownEvent,
@@ -29,6 +28,7 @@ from wotsim import (
     url_segment,
     validate,
 )
+from wotsim.generator import json_text
 
 from conftest import CountingClock, HorizonClock, corpus_paths, fixture_text, running_server
 from oracles import json_diff
@@ -280,26 +280,41 @@ class TestEvents:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        request = (b"GET /Coffee-Machine/events/error HTTP/1.1\r\nHost: x\r\n"
-                   b"Accept: text/event-stream\r\n\r\n")
-        with running_server([fixture_text("coffee-machine.td.json")], seed=4) as handle:
-            streams = [socket.create_connection(("127.0.0.1", handle.port), timeout=5)
-                       for _ in range(3)]
-            for sock in streams:
-                sock.sendall(request)
-                head = b""
-                while not head.endswith(b"\r\n\r\n"):  # sent once the stream is on
-                    head += sock.recv(1)
-            counted(runtime.json, "dumps")
-            counted(runtime.copy, "deepcopy")
-            payload = handle.things[0].emit_event("error")
-            first, second, third = (sock.recv(4096) for sock in streams)
-            assert calls == {"dumps": 1, "deepcopy": 0}
-            for sock in streams:
-                sock.close()
-        assert first == second == third
-        data = b"data: " + json.dumps(payload).encode("utf-8") + b"\n\n"
-        assert first == b"%X\r\n%s\r\n" % (len(data), data)
+        counted(runtime.json, "dumps")
+        counted(runtime.copy, "deepcopy")
+        for fixture, path, name in [
+                ("coffee-machine.td.json", "/Coffee-Machine/events/error", "error"),
+                ("thermostat.td.json", "/Thermostat-42/events/alarm", "alarm")]:  # an object
+            request = (b"GET %s HTTP/1.1\r\nHost: x\r\n"
+                       b"Accept: text/event-stream\r\n\r\n" % path.encode())
+            with running_server([fixture_text(fixture)], seed=4) as handle:
+                streams = [socket.create_connection(("127.0.0.1", handle.port), timeout=5)
+                           for _ in range(3)]
+                for sock in streams:
+                    sock.sendall(request)
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):  # sent once the stream is on
+                        head += sock.recv(1)
+                sub = handle.things[0].subscribe_event(name)
+                calls.update(dumps=0, deepcopy=0)
+                handle.things[0].emit_event(name)
+                first, second, third = (sock.recv(4096) for sock in streams)
+                assert calls == {"dumps": 0, "deepcopy": 0}
+                for sock in streams:
+                    sock.close()
+            assert first == second == third
+            data = b"data: " + json_text(sub.get(timeout=0)).encode("utf-8") + b"\n\n"
+            assert first == b"%X\r\n%s\r\n" % (len(data), data)
+
+    def test_subscribers_get_payloads_of_their_own(self):
+        thing = make_thing("thermostat.td.json", seed=7)
+        first, second = thing.subscribe_event("alarm"), thing.subscribe_event("alarm")
+        emitted = thing.emit_event("alarm")
+        mine, theirs = first.get(timeout=0), second.get(timeout=0)
+        assert mine == theirs == emitted
+        assert mine is not theirs and mine is not emitted
+        mine["code"] = -1
+        assert theirs == emitted and theirs["code"] != -1
 
 
 class TestEventLoop:
@@ -429,20 +444,20 @@ class TestScheduler:
             assert schedulers() == ["wotsim-loop"]
         assert schedulers() == []
 
-    def test_real_clock_waits_from_due_time_to_due_time(self):
-        clock = RealClock(threading.Event())
-        started = time.monotonic()
+    def test_next_due_counts_gaps_from_due_time_to_due_time(self):
+        due, now = None, 100.0
         for _ in range(10):
-            assert clock.wait(0.05) is False
-            time.sleep(0.02)  # the emission's own time
-        assert 0.5 <= time.monotonic() - started < 0.6
-        # Late by 0.2 s: return at once, then keep the gap from now on.
-        time.sleep(0.2)
-        started = time.monotonic()
-        assert clock.wait(0.05) is False
-        assert time.monotonic() - started < 0.01
-        clock.wait(0.05)
-        assert 0.045 <= time.monotonic() - started < 0.09
+            due = runtime.next_due(due, 0.05, now)
+            now = due + 0.02  # the emission's own time
+        assert due == pytest.approx(100.5)  # not 10 * (0.05 + 0.02) from the start
+        # On time: due a gap after the previous due time.
+        assert runtime.next_due(due, 0.05, now) == pytest.approx(100.55)
+        # Late by 0.2 s: due at once, and the next gap runs from then, so the
+        # missed emissions are not caught up.
+        now = due + 0.25
+        late = runtime.next_due(due, 0.05, now)
+        assert late == now
+        assert runtime.next_due(late, 0.05, now + 0.01) == pytest.approx(now + 0.05)
 
 
 class TestDeterminism:
