@@ -142,18 +142,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _fail(f"{path}: {exc}")
 
     try:
-        handle = serve(things, config)
-    except (DuplicateThingName, BindFailure) as exc:
-        return _fail(str(exc))
-
-    for thing in things:
-        _log_routes(thing)
-
-    try:
         signal.signal(signal.SIGTERM, _raise_interrupt)
     except ValueError:
         pass  # not the main thread; SIGINT handling still applies
     try:
+        handle = serve(things, config)
+    except (DuplicateThingName, BindFailure) as exc:
+        return _fail(str(exc))
+    try:  # from here on, an interrupt stops the servient
+        for thing in things:
+            _log_routes(thing)
         handle.wait()
     except KeyboardInterrupt:
         logger.info("shutting down")

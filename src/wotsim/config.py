@@ -29,8 +29,8 @@ class EventMode:
         if self.kind not in ("none", "random", "fixed"):
             raise ValueError(f"unknown event mode {self.kind!r}")
         if self.kind == "fixed":
-            if self.seconds is None or self.seconds <= 0:
-                raise ValueError("fixed event mode needs a positive interval")
+            if self.seconds is None or not 0 < self.seconds < float("inf"):  # NaN too
+                raise ValueError("fixed event mode needs a finite, positive interval")
         elif self.seconds is not None:
             raise ValueError(f"event mode {self.kind!r} takes no interval")
 
@@ -44,7 +44,10 @@ class EventMode:
 
     @classmethod
     def fixed(cls, seconds: float) -> "EventMode":
-        return cls("fixed", float(seconds))
+        try:
+            return cls("fixed", float(seconds))
+        except OverflowError:  # an integer past a double's range
+            raise ValueError("fixed event mode needs a finite, positive interval") from None
 
     @classmethod
     def parse(cls, text: str) -> "EventMode":

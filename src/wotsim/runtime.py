@@ -128,16 +128,13 @@ class EventSubscription:
     Each emission is queued as the UTF-8 bytes of its JSON text, the same bytes
     for every subscriber: `get_json` returns them and `get` a fresh decoded
     payload. A reader that falls more than SUBSCRIPTION_BUFFER messages behind
-    loses the oldest ones; `dropped` counts them. `notify`, if given, is called
-    after each message is queued, on the emitting thread with the Thing's lock
-    held.
+    loses the oldest ones; `dropped` counts them.
     """
 
-    def __init__(self, thing: "VirtualThing", event_name: str, notify=None):
+    def __init__(self, thing: "VirtualThing", event_name: str):
         self._thing = thing
         self.event_name = event_name
         self.dropped = 0
-        self._notify = notify
         self._queue: queue.Queue = queue.Queue()  # payloads as UTF-8 JSON, then the end
 
     def _put(self, message) -> None:
@@ -147,8 +144,6 @@ class EventSubscription:
             self._queue.get_nowait()
             self.dropped += 1
         self._queue.put(message)
-        if self._notify is not None:
-            self._notify()
 
     def get_json(self, timeout: float | None = None) -> bytes:
         """Next payload as UTF-8 JSON; raises queue.Empty when the timeout
@@ -198,7 +193,7 @@ class VirtualThing:
         self.exposed_td = rewrite_td(td, self.base_url)
         self._lock = threading.RLock()
         self._store: dict[str, bytes] = {}  # encoded written values; absent = never written
-        self._subscribers: dict[str, set[EventSubscription]] = {
+        self._subscribers: dict[str, set] = {  # of each event, as subscribe_event took them
             name: set() for name in td.events
         }
         root = RandomSource(config.seed)
@@ -309,20 +304,24 @@ class VirtualThing:
 
     # --- events ---------------------------------------------------------
 
-    def subscribe_event(self, name: str, notify=None) -> EventSubscription:
+    def subscribe_event(self, name: str, subscriber=None):
+        """Subscribe a new EventSubscription, or the given subscriber: one with
+        an `event_name` and a `_put(message)` that takes each emission's UTF-8
+        JSON, then _END_OF_STREAM, on the emitting thread under the Thing's lock."""
         with self._lock:
             if name not in self.original_td.events:
                 raise UnknownEvent(f"no event named {name!r}")
-            subscription = EventSubscription(self, name, notify)
+            if subscriber is None:  # not `or`: a subscriber may be falsy, as an empty set
+                subscriber = EventSubscription(self, name)
             if self._stopped:
-                subscription._put(_END_OF_STREAM)
+                subscriber._put(_END_OF_STREAM)
             else:
-                self._subscribers[name].add(subscription)
-            return subscription
+                self._subscribers[name].add(subscriber)
+            return subscriber
 
-    def unsubscribe(self, subscription: EventSubscription) -> None:
+    def unsubscribe(self, subscriber) -> None:
         with self._lock:
-            self._subscribers[subscription.event_name].discard(subscription)
+            self._subscribers[subscriber.event_name].discard(subscriber)
 
     def emit_event(self, name: str) -> Json:
         """One emission: draw the payload's JSON text once and queue its UTF-8

@@ -10,10 +10,12 @@ payload format on this binding.
 One thread runs the servient's loop, on ``selectors``: it accepts
 connections, reads into a buffer per connection, answers each request inline,
 writes from an output buffer per connection and emits each event when it is
-due. Request heads are read with ``_read_head`` (HTTP/1.1 as in RFC 9112) and
-every response head is written in ``_respond``. Every request takes one path:
-``_dispatch`` finds its handler in ``_ROUTES`` and maps the domain errors the
-handler raises to statuses.
+due. Each received byte of a head is searched for line ends once, and
+``_read_head`` (RFC 9112) parses the head once it can be decided;
+``_content_length`` frames its body before any route is looked up. Then
+``_dispatch`` finds the handler in ``_ROUTES`` and maps the domain errors it
+raises to statuses, and ``_respond`` writes the response head. An emission
+reaches the loop once, through its event's ``_EventStreams``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import functools
 import io
 import logging
 import math
-import queue
 import re
 import selectors
 import signal
@@ -46,7 +47,8 @@ from .errors import (
     ValidationFailed,
 )
 from .model import MISSING
-from .runtime import SUBSCRIPTION_BUFFER, VirtualThing, _encode, next_due, schedule_events
+from .runtime import (_END_OF_STREAM, SUBSCRIPTION_BUFFER, VirtualThing, _encode, next_due,
+                      schedule_events)
 from .td import _loads, serialize_td
 
 logger = logging.getLogger(__name__)
@@ -95,25 +97,12 @@ def _read_head(rfile) -> tuple[str, str, tuple[int, int], dict[str, list[str]]] 
 
     Headers map each lowercased field name to its values in arrival order,
     without surrounding spaces and tabs; an obs-folded line joins the value
-    before it after one space. Raises _Refused for lines too long (414 for
-    the request line, else 431) or too many (431), a malformed head (400)
-    and HTTP/2 or later (505).
+    before it after one space. Raises _Refused as _request_line does, and for
+    header lines too long or too many (431) or malformed (400).
     """
-    line = rfile.readline(MAX_LINE_BYTES + 1)
-    if len(line) > MAX_LINE_BYTES:
-        raise _Refused(414, "request line too long")
-    words = line.decode("latin-1").split()
-    if not words:
+    request = _request_line(rfile.readline(MAX_LINE_BYTES + 1))
+    if request is None:
         return None
-    if len(words) >= 3:
-        version = _version(words[-1])
-        if version >= (2, 0):
-            raise _Refused(505, f"{words[-1]} is not supported")
-    if len(words) != 3:
-        raise _Refused(400, "the request line is not: method, target, version")
-    method, target = words[:2]
-    if target.startswith("//"):
-        target = "/" + target.lstrip("/")
     headers: dict[str, list[str]] = {}
     values = None  # of the last field line, which an obs-fold continues
     for _ in range(MAX_HEAD_LINES):
@@ -121,7 +110,7 @@ def _read_head(rfile) -> tuple[str, str, tuple[int, int], dict[str, list[str]]] 
         if len(line) > MAX_LINE_BYTES:
             raise _Refused(431, "header line too long")
         if line in _LINE_ENDS:
-            return method, target, version, headers
+            return (*request, headers)
         text = line.decode("latin-1").rstrip("\r\n")
         if "\r" in text:  # a bare CR (RFC 9112 section 2.2)
             raise _Refused(400, "bare CR in a header line")
@@ -137,6 +126,26 @@ def _read_head(rfile) -> tuple[str, str, tuple[int, int], dict[str, list[str]]] 
     raise _Refused(431, f"more than {MAX_HEAD_LINES - 1} header lines")
 
 
+def _request_line(line: bytes) -> tuple[str, str, tuple[int, int]] | None:
+    """(method, target, version) of a request line, None if it is blank. Raises
+    _Refused for a line too long (414) or malformed (400) and HTTP/2+ (505)."""
+    if len(line) > MAX_LINE_BYTES:
+        raise _Refused(414, "request line too long")
+    words = line.decode("latin-1").split()
+    if not words:
+        return None
+    if len(words) >= 3:
+        version = _version(words[-1])
+        if version >= (2, 0):
+            raise _Refused(505, f"{words[-1]} is not supported")
+    if len(words) != 3:
+        raise _Refused(400, "the request line is not: method, target, version")
+    method, target = words[:2]
+    if target.startswith("//"):
+        target = "/" + target.lstrip("/")
+    return method, target, version
+
+
 def _version(text: str) -> tuple[int, int]:
     """(major, minor) of an HTTP-version such as ``HTTP/1.1``."""
     match = _VERSION.fullmatch(text)
@@ -145,27 +154,11 @@ def _version(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-class _Incomplete(Exception):
-    """The bytes received so far end inside the request being read."""
-
-
-class _Received(io.BytesIO):
-    """_read_head's reader over the bytes a connection has received: a line
-    that is unfinished and shorter than its limit raises _Incomplete, unless
-    the client has sent its last byte."""
-
-    def __init__(self, data: bytes, ended: bool):
-        super().__init__(data)
-        self.ended = ended
-
-    def readline(self, limit: int) -> bytes:
-        line = super().readline(limit)
-        if not (line.endswith(b"\n") or len(line) == limit or self.ended):
-            raise _Incomplete
-        return line
-
-
 def _content_length(headers: dict[str, list[str]]) -> int:
+    """The request body's length. Raises _Refused for a body Content-Length
+    cannot frame (400), is too long (413) or has Transfer-Encoding (501)."""
+    if "transfer-encoding" in headers:
+        raise _Refused(501, "request bodies with Transfer-Encoding are not supported")
     lengths = headers.get("content-length", ["0"])
     if len(lengths) > 1:  # which one frames the body is ambiguous
         raise _Refused(400, "more than one Content-Length header")
@@ -196,19 +189,19 @@ class _Connection:
         self.sock = sock
         self.client = client
         self.inbuf = bytearray()
+        self.scanned = self.line_start = self.lines = 0  # of the head, see _head_ready
         self.out: collections.deque[bytes] = collections.deque()
         self.sent = 0  # bytes of out[0] already sent
         self.mask = selectors.EVENT_READ  # what the selector watches for
         self.deadline = math.inf  # when the connection expires, on time.monotonic()
         self.ended = self.closed = self.close_connection = False
-        self.head = None  # (head, offset of its body, end of its body) until dispatched
+        self.framed = None  # (offset, end) of the request's body until dispatched
         self.stream: _EventStreams | None = None  # the event this connection streams
         self.dropped = 0  # stream messages lost because the client fell behind
         self.command = self.path = ""
         self.version = (1, 1)
         self.headers: dict[str, list[str]] = {}
-        self.body = b""
-        self._body_unread = False
+        self.body = b""  # until a handler reads it
 
     def on_event(self, mask: int) -> None:
         try:
@@ -240,51 +233,63 @@ class _Connection:
         if self.out:
             self.flush()
         while not (self.out or self.closed or self.close_connection or self.servient._stopping):
-            if self.head is None:
-                if not (self.inbuf or self.ended):
-                    return
+            if self.framed is None:
                 self.command = ""
-                self._body_unread = False
-                # With a blank line received, every line up to it is whole.
-                reader = (io.BytesIO(self.inbuf) if b"\r\n\r\n" in self.inbuf
-                          else _Received(self.inbuf, self.ended))
                 try:
+                    if not self._head_ready():
+                        return
+                    reader = io.BytesIO(self.inbuf)
                     head = _read_head(reader)
-                except _Incomplete:
-                    return
+                    if head is None:
+                        return self.close()
+                    self.command, self.path, self.version, self.headers = head
+                    start = reader.tell()
+                    self.framed = start, start + _content_length(self.headers)
                 except _Refused as exc:
                     self.close_connection = True
                     self._respond_error(*exc.args)
                     return self.flush()
-                if head is None:
-                    return self.close()
-                start = end = reader.tell()
-                if "content-length" in head[3] and "transfer-encoding" not in head[3]:
-                    try:
-                        end += _content_length(head[3])
-                    except _Refused:  # refused by the route that reads the body
-                        pass
-                self.head = head, start, end
-                if (len(self.inbuf) < end and head[2] >= (1, 1)
-                        and head[3].get("expect", [""])[0].lower() == "100-continue"):
+                self.scanned = self.line_start = self.lines = 0
+                if (len(self.inbuf) < self.framed[1] and self.version >= (1, 1)
+                        and self.headers.get("expect", [""])[0].lower() == "100-continue"):
                     self.out.append(b"HTTP/1.1 100 Continue\r\n\r\n")
                     return self.flush()
-            (self.command, self.path, version, self.headers), start, end = self.head
+            start, end = self.framed
             if len(self.inbuf) < end:
                 break
-            self.head = None
-            self.version = version
+            self.framed = None
             self.body = bytes(self.inbuf[start:end]) if end > start else b""
             del self.inbuf[:end]
             connection = self.headers.get("connection", [""])[0].lower()
             self.close_connection = (connection == "close"
-                                     or (version < (1, 1) and connection != "keep-alive"))
+                                     or (self.version < (1, 1) and connection != "keep-alive"))
             self._dispatch()
             if self.inbuf:  # the next request's first bytes are here
                 self.servient._arm(self, TIMEOUT_SECONDS)
             self.flush()
         if self.ended and not (self.out or self.closed or self.stream):
             self.close()  # no more requests can come
+
+    def _head_ready(self) -> bool:
+        """True once _read_head can decide the head: a blank line has arrived,
+        the client has ended, or a line or the line count is past its limit.
+        Searches only the bytes received since the last call (from `scanned`),
+        counting `lines` and where the unfinished one starts (`line_start`)."""
+        inbuf, start, lines = self.inbuf, self.line_start, self.lines
+        end = inbuf.find(b"\n", self.scanned)
+        while end >= 0:
+            lines += 1
+            if (end - start < 2 and inbuf[start:end] in (b"", b"\r")  # a blank line
+                    or end - start >= MAX_LINE_BYTES or lines > MAX_HEAD_LINES):
+                return True
+            start = end + 1
+            end = inbuf.find(b"\n", start)
+        # A request line just whole is checked now: refused if bad, no head if blank.
+        first_line = lines > 0 and not self.lines
+        self.scanned, self.line_start, self.lines = len(inbuf), start, lines
+        if self.ended or len(inbuf) - start > MAX_LINE_BYTES:
+            return True
+        return first_line and _request_line(bytes(inbuf[:inbuf.index(b"\n") + 1])) is None
 
     def flush(self) -> None:
         """Send what the socket takes now, and watch for writability while
@@ -349,7 +354,7 @@ class _Connection:
         streams.discard(self)
         if self.dropped:
             logger.warning("%s: the stream of event %r to %s dropped %d message(s)",
-                           streams.thing.title, streams.name, self.client, self.dropped)
+                           streams.thing.title, streams.event_name, self.client, self.dropped)
 
     def close(self) -> None:
         if not self.closed:
@@ -376,7 +381,7 @@ class _Connection:
             head += f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
         for name, value in (headers or {}).items():
             head += f"{name}: {value}\r\n"
-        if self._body_unread or status >= 500 or self.close_connection:
+        if self.body or status >= 500 or self.close_connection:
             self.close_connection = True
             head += "Connection: close\r\n"
         if logger.isEnabledFor(logging.DEBUG):  # formatting costs every response
@@ -398,16 +403,7 @@ class _Connection:
     # --- dispatch --------------------------------------------------------
 
     def _dispatch(self):
-        transfer_coded = "transfer-encoding" in self.headers
-        # True while the request declares body bytes that no handler has read.
-        # A response sent then closes the connection, so those bytes are never
-        # parsed as the next request (RFC 9112 sections 6.3 and 9.6).
-        self._body_unread = (transfer_coded
-                             or self.headers.get("content-length", ["0"])[0].strip() != "0")
         try:
-            if transfer_coded:
-                return self._respond_error(501, "request bodies with Transfer-Encoding"
-                                                " are not supported")
             parts = [unquote(part) for part in urlsplit(self.path).path.split("/") if part]
             shape = (len(parts), parts[1] if len(parts) > 1 else None)
             route = _ROUTES.get((self.command, *shape))
@@ -431,8 +427,6 @@ class _Connection:
             self._respond_error(400, str(exc), exc.violations)
         except (MalformedJson, UnicodeDecodeError) as exc:
             self._respond_error(400, f"malformed JSON body: {exc}")
-        except _Refused as exc:
-            self._respond_error(*exc.args)
         except Exception as exc:
             logger.exception("%s %s failed", self.command, self.path)
             if not self.out:  # nothing answered yet
@@ -444,9 +438,8 @@ class _Connection:
         return content_type.split(";", 1)[0].strip().lower() != "application/json"
 
     def _read_body(self) -> bytes:
-        _content_length(self.headers)  # raises its refusal, if any
-        self._body_unread = False
-        return self.body
+        body, self.body = self.body, b""
+        return body
 
     # --- routes ----------------------------------------------------------
 
@@ -499,35 +492,44 @@ _ROUTES = {
 
 
 class _EventStreams(set):
-    """The connections streaming one event, and the servient's one
-    subscription to it, whose emissions are framed once for all of them."""
+    """The connections streaming one event. The set is the Thing's subscriber
+    to the event, so each emission is framed once for all of them."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # in the Thing's set, by identity
 
     def __init__(self, servient: ServerHandle, thing: VirtualThing, name: str):
         super().__init__()
-        self.servient, self.thing, self.name = servient, thing, name
-        self.subscription = thing.subscribe_event(name, lambda: servient._notify(self))
+        self.servient, self.thing, self.event_name = servient, thing, name
+        thing.subscribe_event(name, self)
 
-    def deliver(self) -> None:
-        """Send the emissions queued so far to every stream, or end the
-        streams once the Thing has stopped its events."""
-        while self:
-            try:
-                data = self.subscription.get_json(timeout=0)
-            except queue.Empty:
-                return
-            except EOFError:
+    def _put(self, message) -> None:
+        """Hand an emission, or the streams' end, to the loop (from any thread)."""
+        self.servient._ready.append((self, message))
+        if threading.get_ident() != self.servient._loop_thread:
+            self.servient._wake()
+
+    def deliver(self, message) -> None:
+        """Send one emission to every stream, or end the streams once the
+        Thing has stopped its events. A message that fails closes this
+        event's streams alone."""
+        try:
+            if message is _END_OF_STREAM:
                 for stream in list(self):
                     stream.end_stream()
             else:
-                chunk = _chunk(b"data: " + data + b"\n\n")
+                chunk = _chunk(b"data: " + message + b"\n\n")
                 for stream in list(self):
                     stream.send_message(chunk)
+        except Exception:
+            logger.exception("%s: delivering event %r failed", self.thing.title, self.event_name)
+            for stream in list(self):
+                stream.close()
 
     def discard(self, connection: _Connection) -> None:
         super().discard(connection)
         if not self:  # the last stream has gone
-            self.subscription.close()
-            self.servient._event_streams.pop((self.thing.title, self.name), None)
+            self.thing.unsubscribe(self)
+            self.servient._event_streams.pop((self.thing.title, self.event_name), None)
 
 
 class ServerHandle:
@@ -550,7 +552,7 @@ class ServerHandle:
             sock.setblocking(False)
         self._connections: set[_Connection] = set()
         self._event_streams: dict[tuple[str, str], _EventStreams] = {}
-        self._ready: collections.deque[_EventStreams] = collections.deque()  # to deliver
+        self._ready: collections.deque = collections.deque()  # (streams, message) to deliver
         self._next_sweep = math.inf  # no connection expires earlier
         self._loop_thread: int | None = None
         self._thread = threading.Thread(target=self._run, daemon=True, name="wotsim-loop")
@@ -593,8 +595,7 @@ class ServerHandle:
                 now = time.monotonic()
                 while due <= now:  # resuming the schedule emits the event that is due
                     due = next_due(due, next(gaps, math.inf), time.monotonic())
-                while self._ready:
-                    self._ready.popleft().deliver()
+                self._deliver()
                 if now >= self._next_sweep:
                     for connection in [c for c in self._connections if c.deadline <= now]:
                         connection.expire()
@@ -614,8 +615,7 @@ class ServerHandle:
         self._selector.unregister(self._listener)
         for thing in self.things:
             thing.stop_events()  # which ends every stream
-        while self._ready:
-            self._ready.popleft().deliver()
+        self._deliver()
         for connection in list(self._connections):
             connection.close_connection = True
             if not connection.out:
@@ -662,12 +662,10 @@ class ServerHandle:
             self._event_streams[key] = _EventStreams(self, thing, name)
         return self._event_streams[key]
 
-    def _notify(self, streams: _EventStreams) -> None:
-        """An emission was queued to the streams' subscription (on the thread
-        that emitted, with the Thing's lock held)."""
-        self._ready.append(streams)
-        if threading.get_ident() != self._loop_thread:
-            self._wake()
+    def _deliver(self) -> None:
+        while self._ready:
+            streams, message = self._ready.popleft()
+            streams.deliver(message)
 
     def _wake(self) -> None:
         try:

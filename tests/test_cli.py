@@ -26,7 +26,8 @@ class TestEventModeSpellings:
         assert EventMode.parse("fixed:2.5") == EventMode.fixed(2.5)
 
     @pytest.mark.parametrize("text", ["hourly", "fixed:", "fixed:abc",
-                                      "fixed:0", "fixed:-3", "FIXED:2"])
+                                      "fixed:0", "fixed:-3", "FIXED:2",
+                                      "fixed:nan", "fixed:inf", "fixed:-inf"])
     def test_cli_rejects(self, text):
         with pytest.raises(ValueError):
             EventMode.parse(text)
@@ -46,7 +47,7 @@ class TestIntervalFlags:
         assert parsed == {"alarm": EventMode.fixed(2.0),
                          "tick": EventMode.fixed(0.5)}
 
-    @pytest.mark.parametrize("entry", ["alarm", "=3", "alarm=soon"])
+    @pytest.mark.parametrize("entry", ["alarm", "=3", "alarm=soon", "alarm=nan", "alarm=inf"])
     def test_rejects_bad_entries(self, entry):
         with pytest.raises(ValueError):
             _parse_interval_flags([entry])
@@ -88,6 +89,10 @@ class TestConfigFile:
         {"logLevel": "chatty"},
         {"eventIntervals": {"alarm": "fast"}},
         ["not", "an", "object"],
+        {"eventMode": {"fixed": float("nan")}},
+        {"eventMode": {"fixed": float("inf")}},
+        {"eventIntervals": {"alarm": float("nan")}},
+        {"eventIntervals": {"alarm": 10 ** 400}},  # past a double's range
     ])
     def test_rejected_documents(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -233,6 +238,44 @@ class TestRunErrors:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["--event-mode", "fixed:nan"],
+        ["--event-mode", "fixed:inf"],
+        ["--event-interval", "alarm=nan"],
+        ["--event-interval", "alarm=inf"],
+        ["--config", '{"eventMode": {"fixed": NaN}}'],
+        ["--config", '{"eventIntervals": {"alarm": Infinity}}'],
+    ])
+    def test_interval_that_is_not_finite(self, refused_things, capsys, tmp_path, argv):
+        if argv[0] == "--config":
+            (tmp_path / "servient.json").write_text(argv[1])
+            argv = ["--config", str(tmp_path / "servient.json")]
+        code, err = self.run_main(capsys, str(FIXTURE_DIR / "thermostat.td.json"), *argv)
+        assert (code, refused_things) == (1, [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_interrupt_just_after_serving_stops_the_servient(monkeypatch):
+    stopped = []
+    stop = server.ServerHandle.stop
+
+    def interrupted(thing):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server.ServerHandle, "stop",
+                        lambda handle: stopped.append(handle) or stop(handle))
+    monkeypatch.setattr(cli, "_log_routes", interrupted)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    try:
+        code = main(["run", str(FIXTURE_DIR / "coffee-machine.td.json"),
+                     "--port", str(free_port()), "--event-mode", "none"])
+    except KeyboardInterrupt:  # escaped the servient's stop
+        code = None
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    assert code == 0
+    assert len(stopped) == 1 and not stopped[0]._thread.is_alive()
 
 
 def start_run_process(*extra, port=None, tds=("coffee-machine.td.json",)):

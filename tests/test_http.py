@@ -490,6 +490,21 @@ class TestRequestFraming:
         status, body = status_and_body(answer)
         assert status == 400 and "Content-Length" in body["error"]
 
+    # Framing is decided once, before any route: a route that reads no body
+    # gets the same 400 as one that does (RFC 9112 section 6.3).
+    @pytest.mark.parametrize("method,path,content_type", [
+        ("GET", "/Coffee-Machine/properties/state", "application/json"),
+        ("GET", "/Nowhere", "application/json"),
+        ("PUT", "/Coffee-Machine/properties/state", "text/plain"),
+    ], ids=["GET", "not-found", "wrong-media-type"])
+    def test_bad_content_length_is_400_on_any_route(self, coffee_servient, method, path,
+                                                    content_type):
+        answer = raw_exchange(coffee_servient.port,
+                              f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Type: "
+                              f"{content_type}\r\nContent-Length: abc\r\n\r\n".encode())
+        assert closes_then_eof(answer) == 400
+        assert "Content-Length" in status_and_body(answer)[1]["error"]
+
     def test_oversized_body_is_413_without_reading_it(self, coffee_text):
         with running_server([coffee_text]) as handle:
             answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
@@ -729,6 +744,43 @@ def test_refused_head_answers_a_json_error(coffee_servient, head, status):
     assert set(status_and_body(answer)[1]) == {"error"}
 
 
+def test_head_sent_line_by_line_is_read_once(coffee_servient, monkeypatch):
+    reads = []
+    original = server._read_head
+
+    def counted(rfile):
+        reads.append(rfile)
+        return original(rfile)
+
+    monkeypatch.setattr(server, "_read_head", counted)
+    lines = ([b"GET /Coffee-Machine HTTP/1.1\r\n"]
+             + [b"X-Line-%d: 1\r\n" % n for n in range(48)] + [b"\r\n"])
+    with socket.create_connection(("127.0.0.1", coffee_servient.port),
+                                  timeout=TIMEOUT) as sock, sock.makefile("rb") as reader:
+        for line in lines:  # each line in a read of its own
+            sock.sendall(line)
+            time.sleep(0.002)
+        status = read_response(reader)[0]
+    assert (len(lines), status) == (50, 200)
+    assert len(reads) <= 2
+
+
+def test_malformed_header_line_is_refused_when_its_head_ends(coffee_servient):
+    with socket.create_connection(("127.0.0.1", coffee_servient.port),
+                                  timeout=TIMEOUT) as sock:
+        sock.sendall(b"GET /Coffee-Machine HTTP/1.1\r\nno colon\r\n")
+        sock.settimeout(0.3)
+        with pytest.raises(TimeoutError):  # not refused while its head is unfinished
+            sock.recv(65536)
+        sock.settimeout(TIMEOUT)
+        sock.sendall(b"\r\n")
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    assert closes_then_eof(answer) == 400
+    assert "malformed header line" in status_and_body(answer)[1]["error"]
+
+
 def read_head(reader) -> bytes:
     """The raw head of the next response, blank line included."""
     head = b""
@@ -944,6 +996,27 @@ def test_stream_failure_after_headers_sends_no_error_document(coffee_text):
     assert answer.startswith(b"HTTP/1.1 200")
     assert b"HTTP/1.1 500" not in answer
     assert b'"error"' not in answer
+
+
+def test_failed_delivery_ends_its_streams_alone(coffee_text, caplog):
+    with running_server([coffee_text]) as handle:
+        address = ("127.0.0.1", handle.port)
+        with socket.create_connection(address, timeout=TIMEOUT) as stream, \
+                socket.create_connection(address, timeout=TIMEOUT) as other, \
+                other.makefile("rb") as reader:
+            stream.sendall(STREAM_REQUEST)
+            assert stream.recv(65536).startswith(b"HTTP/1.1 200")
+            other.sendall(http_request("GET", "/Coffee-Machine/properties/state"))
+            assert read_response(reader)[0] == 200
+            (subscriber,) = handle.things[0]._subscribers["error"]
+            subscriber._put(float("nan"))  # not JSON text: its framing fails
+            while stream.recv(65536):  # the stream ends
+                pass
+            other.sendall(http_request("GET", "/Coffee-Machine/properties/state"))
+            status = read_response(reader)[0]
+    assert status == 200
+    assert [r for r in caplog.records if r.getMessage().startswith(
+        "Coffee-Machine: delivering event 'error' failed")]
 
 
 def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, capsys):
