@@ -11,13 +11,16 @@ Two subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import http.client
 import json
 import logging
+import math
 import signal
 import socket
 import sys
+import threading
 import time
 from urllib.parse import urlsplit, urlunsplit
 
@@ -36,6 +39,10 @@ HTTP_TIMEOUT = 10.0
 # What a failed exchange raises: socket errors and timeouts, malformed or
 # cut-off HTTP, and (ValueError) a URL that cannot be parsed.
 _HTTP_ERRORS = (OSError, http.client.HTTPException, ValueError)
+# Event streams watched at once, each with a socket and a reader thread. A
+# Thing with more events has the rest watched in later windows, so a TD
+# fetched from the network cannot make the probe open thousands of either.
+MAX_WATCHED_STREAMS = 32
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("target", metavar="URL_OR_FILE",
                          help="Thing Description URL or local file")
     probe_p.add_argument("--duration", type=float, default=10.0,
-                         help="seconds to watch each event stream (default 10)")
+                         help="seconds to watch the event streams, all at once (default 10)")
     probe_p.add_argument("--seed", type=int, help="seed for generated test values")
     probe_p.add_argument("--json", action="store_true", dest="as_json",
                          help="emit the report as JSON instead of a table")
@@ -81,9 +88,9 @@ def main(argv: list[str] | None = None) -> int:
     return cmd_probe(args)
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, status: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 1
+    return status
 
 
 # --- run ----------------------------------------------------------------
@@ -193,6 +200,7 @@ class ProbeCheck:
     kind: str
     result: str  # "PASS" | "FAIL"
     detail: str
+    elapsed_ms: float = 0.0  # the check's own wall time
 
     @property
     def passed(self) -> bool:
@@ -202,10 +210,13 @@ class ProbeCheck:
 def cmd_probe(args: argparse.Namespace) -> int:
     logging.basicConfig(level=logging.WARNING)
     try:
+        _check_duration(args.duration)
+    except ValueError as exc:
+        return _fail(str(exc), status=2)
+    try:
         checks = probe_target(args.target, duration=args.duration, seed=args.seed)
     except ProbeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), status=2)
 
     if args.as_json:
         print(json.dumps([dataclasses.asdict(c) for c in checks], indent=2))
@@ -218,13 +229,25 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _check_duration(duration: float) -> None:
+    """Refuse a watch window that no socket timeout can carry."""
+    if not (math.isfinite(duration) and 0 <= duration <= threading.TIMEOUT_MAX):
+        raise ValueError(f"duration must be a number of seconds in "
+                         f"[0, {threading.TIMEOUT_MAX:.0f}], got {duration}")
+
+
 def probe_target(target: str, *, duration: float = 10.0,
                  seed: int | None = None) -> list[ProbeCheck]:
     """Fetch a TD (HTTP URL or local file) and exercise every affordance.
 
-    Requests share one kept-alive connection per origin, and every
-    connection is closed before this returns or raises.
+    Every event stream is subscribed first, then read by a thread of its own
+    while the property and action checks run, so that a pass takes about
+    one ``duration`` window. At most ``MAX_WATCHED_STREAMS`` are watched at
+    once; further events get windows of their own. Requests share one
+    kept-alive connection per origin. Every connection and stream is closed,
+    and every reader joined, before this returns or raises.
     """
+    _check_duration(duration)
     connections: dict[tuple[str, str], http.client.HTTPConnection] = {}
     try:
         rng = RandomSource(seed)
@@ -250,17 +273,33 @@ def probe_target(target: str, *, duration: float = 10.0,
 
         base = td.base if is_present(td.base) and isinstance(td.base, str) else fallback_base
 
-        checks: list[ProbeCheck] = []
-        for name, prop in td.properties.items():
-            checks.append(_check_property(connections, name, prop, base, rng))
-        for name, action in td.actions.items():
-            checks.append(_check_action(connections, name, action, base, rng))
-        for name, event in td.events.items():
-            checks.append(_check_event(name, event, base, duration))
+        events = list(td.events.items())
+        with _watching(events[:MAX_WATCHED_STREAMS], base, duration) as event_checks:
+            checks = [_run_timed(_check_property, connections, name, prop, base, rng)
+                      for name, prop in td.properties.items()]
+            checks += [_run_timed(_check_action, connections, name, action, base, rng)
+                       for name, action in td.actions.items()]
+        checks += event_checks
+        for start in range(MAX_WATCHED_STREAMS, len(events), MAX_WATCHED_STREAMS):
+            with _watching(events[start:start + MAX_WATCHED_STREAMS],
+                           base, duration) as event_checks:
+                pass  # its streams are read until the window ends
+            checks += event_checks
         return checks
     finally:
         for connection in connections.values():
             connection.close()
+
+
+def _timed(check: ProbeCheck, started: float) -> ProbeCheck:
+    """The check, with the wall time since ``started`` (monotonic) put in."""
+    check.elapsed_ms = round((time.monotonic() - started) * 1e3, 3)
+    return check
+
+
+def _run_timed(check_affordance, *args) -> ProbeCheck:
+    started = time.monotonic()
+    return _timed(check_affordance(*args), started)
 
 
 def _split(url: str) -> tuple[tuple[str, str], str]:
@@ -409,46 +448,122 @@ def _check_action(connections, name, action, base, rng) -> ProbeCheck:
     return ProbeCheck(name, "action", "PASS", f"invoked ({status})")
 
 
-def _check_event(name, event, base, duration) -> ProbeCheck:
+def _subscribe(name, event, base) -> ProbeCheck | _Stream:
+    """Open an event's stream, or give the check that failed doing so."""
+    started = time.monotonic()
     url = _form_url(event.forms, base)
     if url is None:
-        return ProbeCheck(name, "event", "FAIL", "no usable form URL")
-    schema = event.data if event.data is not None else DataSchema()
+        return _timed(ProbeCheck(name, "event", "FAIL", "no usable form URL"), started)
     try:
         response, sock = _open_stream(url)
     except _HTTP_ERRORS as exc:
-        return ProbeCheck(name, "event", "FAIL", f"subscribe failed: {exc}")
-    received = 0
-    problem = None
-    deadline = time.monotonic() + duration
+        return _timed(ProbeCheck(name, "event", "FAIL", f"subscribe failed: {exc}"), started)
+    if response.status != 200:
+        response.close()
+        sock.close()
+        return _timed(ProbeCheck(name, "event", "FAIL",
+                                 f"subscribe answered {response.status}"), started)
+    schema = event.data if event.data is not None else DataSchema()
+    return _Stream(name, schema, response, sock, started)
+
+
+class _Stream:
+    """A subscribed event stream, read by a thread of its own until a deadline.
+
+    Only ``stop``, in the thread that subscribed, closes the socket, so the
+    reader never finds its descriptor closed or reused under it.
+    """
+
+    def __init__(self, name, schema, response, sock, started):
+        self.name, self.schema = name, schema
+        self.response, self.sock = response, sock
+        self.started = started
+        self.check: ProbeCheck | None = None
+        self.error: BaseException | None = None
+        self.thread: threading.Thread | None = None
+
+    def start(self, deadline: float) -> None:
+        thread = threading.Thread(target=self._read, args=(deadline,), daemon=True,
+                                  name=f"probe event {self.name}")
+        thread.start()
+        self.thread = thread
+
+    def _read(self, deadline: float) -> None:
+        try:
+            check = _read_events(self.name, self.schema, self.response, self.sock, deadline)
+            self.check = _timed(check, self.started)
+        except BaseException as exc:  # handed to the subscribing thread, which raises it
+            self.error = exc
+
+    def stop(self) -> None:
+        """Wake the reader if it still waits, join it and close the stream."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # a blocked read returns at once
+        except OSError:
+            pass  # the peer has already gone
+        if self.thread is not None:
+            self.thread.join()
+        self.response.close()
+        self.sock.close()
+
+
+@contextlib.contextmanager
+def _watching(events, base, duration: float):
+    """Subscribe to each event, one after another in the calling thread, then
+    read every stream, each in a thread of its own, until one shared deadline.
+
+    Yields a list that holds the events' checks, in order, once the block
+    has left. Leaving the block waits out the window, or, when the block
+    raised, ends it at once. Either way every reader is joined and every
+    stream closed.
+    """
+    entries: list[ProbeCheck | _Stream] = []
+    checks: list[ProbeCheck] = []
     try:
-        if response.status != 200:
-            return ProbeCheck(name, "event", "FAIL", f"subscribe answered {response.status}")
+        for name, event in events:
+            entries.append(_subscribe(name, event, base))
+        streams = [entry for entry in entries if isinstance(entry, _Stream)]
+        deadline = time.monotonic() + duration
+        for stream in streams:
+            stream.start(deadline)
+        yield checks
+        for stream in streams:  # wait out the window; ``stop`` ends a late read
+            stream.thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        for entry in entries:
+            if isinstance(entry, _Stream):
+                entry.stop()
+    for stream in streams:
+        if stream.error is not None:
+            raise stream.error
+    checks.extend(entry.check if isinstance(entry, _Stream) else entry
+                  for entry in entries)
+
+
+def _read_events(name, schema, response, sock, deadline) -> ProbeCheck:
+    """Read an event stream until the deadline, validating each payload as it
+    arrives."""
+    received = 0
+    try:
         # Each read may wait only for what is left of the window.
         while (left := deadline - time.monotonic()) > 0:
             sock.settimeout(left)
             line = response.readline()
-            if not line:
-                break  # the stream ended
+            if not line.endswith(b"\n"):
+                break  # the stream ended, cut off mid-line if at all
             if line.startswith(b"data:"):
                 try:
                     payload = json.loads(line[len(b"data:"):])
                 except ValueError:
-                    problem = "event payload is not JSON"
-                    break
+                    return ProbeCheck(name, "event", "FAIL", "event payload is not JSON")
                 outcome = validate(schema, payload)
                 if not outcome.valid:
-                    problem = (f"payload violates its schema: "
-                               f"{_violation_summary(outcome)}")
-                    break
+                    return ProbeCheck(name, "event", "FAIL",
+                                      f"payload violates its schema: "
+                                      f"{_violation_summary(outcome)}")
                 received += 1
     except _HTTP_ERRORS:
         pass  # stream closed or silent to the end of the window; whatever arrived counts
-    finally:
-        response.close()
-        sock.close()
-    if problem:
-        return ProbeCheck(name, "event", "FAIL", problem)
     if received == 0:
         return ProbeCheck(name, "event", "PASS",
                           "no events within the window (vacuously conforming)")

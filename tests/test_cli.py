@@ -287,19 +287,30 @@ def start_run_process(*extra, port=None, tds=("coffee-machine.td.json",)):
     # child would inherit that: restore the default so SIGINT stops it.
     process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise AssertionError(
-                f"run exited early: {process.stderr.read().decode()}")
-        try:
-            requests.get(f"http://127.0.0.1:{port}/", timeout=1)
-            return process, port
-        except requests.RequestException:
-            time.sleep(0.1)
-    process.kill()
+    try:
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline:
+            if process.poll() is not None:
+                raise AssertionError(
+                    f"run exited early: {process.stderr.read().decode()}")
+            try:
+                requests.get(f"http://127.0.0.1:{port}/", timeout=1)
+                return process, port
+            except requests.RequestException:
+                time.sleep(0.1)
+        raise AssertionError("server never came up")
+    except BaseException:
+        reap(process)
+        raise
+
+
+def reap(process) -> None:
+    """Kill the process if it still runs, wait for it and close its pipes."""
+    if process.poll() is None:
+        process.kill()
     process.wait()
-    raise AssertionError("server never came up")
+    process.stdout.close()
+    process.stderr.close()
 
 
 def stop_run_process(process, signum=signal.SIGINT) -> int:
@@ -308,9 +319,7 @@ def stop_run_process(process, signum=signal.SIGINT) -> int:
         process.send_signal(signum)
         return process.wait(timeout=10)
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
+        reap(process)
 
 
 class TestRunProcess:
@@ -336,9 +345,7 @@ class TestRunProcess:
             assert process.wait(timeout=5) == 0
             assert time.monotonic() - started < 5
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            reap(process)
 
     def test_serves_after_startup(self):
         process, port = start_run_process("--event-mode", "none", "--seed", "8")
@@ -429,8 +436,11 @@ class TestProbe:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert [sorted(entry) for entry in report] == (
-            [["affordance", "detail", "kind", "result"]] * 3)
+            [["affordance", "detail", "elapsed_ms", "kind", "result"]] * 3)
         assert {entry["affordance"] for entry in report} == {"state", "brew", "error"}
+        assert all(entry["elapsed_ms"] >= 0 for entry in report)
+        event = next(entry for entry in report if entry["kind"] == "event")
+        assert event["elapsed_ms"] >= 500  # it was watched for the whole window
         assert all(entry["result"] == "PASS" for entry in report)
 
     def test_event_silence_is_a_vacuous_pass(self, capsys, coffee_text):
@@ -552,12 +562,92 @@ class TestProbe:
         assert [c.result for c in checks] == ["PASS"]
         assert elapsed < 0.5 + 0.15
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "1e10", "nan", "-1"])
+    def test_duration_no_socket_timeout_can_carry(self, capsys, text):
+        code = main(["probe", str(FIXTURE_DIR / "thermostat.td.json"), f"--duration={text}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(ValueError):
+            probe_target(str(FIXTURE_DIR / "thermostat.td.json"), duration=float(text))
+
     def test_null_action_input_is_sent(self):
         td = {"title": "Switch", "actions": {"reset": {
             "input": {"type": "null"}, "forms": [{"href": "/actions/reset"}]}}}
         with running_server([json.dumps(td)]) as handle:
             checks = probe_target(f"{handle.base_url}/Switch", duration=0.2)
         assert [(c.result, c.detail) for c in checks] == [("PASS", "invoked (204)")]
+
+
+# Three events and a property, all served from one Thing.
+TRIO_TD = json.dumps({
+    "title": "Trio",
+    "properties": {"level": {"type": "integer", "minimum": 0, "maximum": 9,
+                             "forms": [{"href": "/properties/level"}]}},
+    "events": {name: {"data": {"type": "integer", "minimum": 0, "maximum": 9},
+                      "forms": [{"href": f"/events/{name}"}]}
+               for name in ("low", "high", "tick")},
+})
+
+
+class TestEventWindow:
+    """Every event stream of a pass is read together, in one window."""
+
+    def test_events_are_watched_at_once(self):
+        window = 0.5
+        with running_server([TRIO_TD], seed=5, event_mode=EventMode.fixed(0.05)) as handle:
+            started = time.monotonic()
+            checks = probe_target(f"{handle.base_url}/Trio", duration=window, seed=3)
+            elapsed = time.monotonic() - started
+        assert elapsed < 2 * window  # one window, not one per event
+        assert [(c.kind, c.affordance) for c in checks] == [
+            ("property", "level"), ("event", "low"), ("event", "high"), ("event", "tick")]
+        for check in checks[1:]:
+            assert check.passed and int(check.detail.split()[0]) >= 1, check.detail
+
+    def test_every_reader_is_joined(self):
+        with running_server([TRIO_TD], seed=5, event_mode=EventMode.fixed(0.05)) as handle:
+            before = threading.active_count()
+            probe_target(f"{handle.base_url}/Trio", duration=0.2, seed=3)
+            assert threading.active_count() == before
+
+    def test_a_check_that_raises_ends_the_window_at_once(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("check broke")
+
+        monkeypatch.setattr(cli, "_check_property", broken)
+        with running_server([TRIO_TD], seed=5, event_mode=EventMode.fixed(0.05)) as handle:
+            before = threading.active_count()
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="check broke"):
+                probe_target(f"{handle.base_url}/Trio", duration=5.0, seed=3)
+            assert time.monotonic() - started < 2.5
+            assert threading.active_count() == before
+            assert wait_for(lambda: open_connections(handle) == 0, 1.0)
+
+    def test_streams_past_the_cap_wait_for_a_later_window(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_WATCHED_STREAMS", 2)
+        read_events = cli._read_events
+        lock = threading.Lock()
+        reading = most = 0
+
+        def counted(*args):
+            nonlocal reading, most
+            with lock:
+                reading += 1
+                most = max(most, reading)
+            try:
+                return read_events(*args)
+            finally:
+                with lock:
+                    reading -= 1
+
+        monkeypatch.setattr(cli, "_read_events", counted)
+        with running_server([TRIO_TD], seed=5, event_mode=EventMode.fixed(0.05)) as handle:
+            checks = probe_target(f"{handle.base_url}/Trio", duration=0.3, seed=3)
+        assert most == 2
+        assert [c.affordance for c in checks] == ["level", "low", "high", "tick"]
+        assert all(c.passed for c in checks)
 
 
 def test_probe_needs_no_third_party_package(coffee_text):
