@@ -156,6 +156,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle = serve(things, config)
     except (DuplicateThingName, BindFailure) as exc:
         return _fail(str(exc))
+    except KeyboardInterrupt:  # serve() has stopped the servient it started
+        logger.info("shutting down")
+        return 0
     try:  # from here on, an interrupt stops the servient
         for thing in things:
             _log_routes(thing)

@@ -10,9 +10,12 @@ payload format on this binding.
 One thread runs the servient's loop, on ``selectors``: it accepts
 connections, reads into a buffer per connection, answers each request inline,
 writes from an output buffer per connection and emits each event when it is
-due. Each received byte of a head is searched for line ends once, and
-``_read_head`` (RFC 9112) parses the head once it can be decided;
-``_content_length`` frames its body before any route is looked up. Then
+due; a connection answers at most REQUESTS_PER_TURN requests before the
+others get their turn. ``_Connection._scan_head`` reads a head (RFC 9112) in
+one pass: each received byte is searched for line ends once, each line is
+held to its limit as its end is found, the request line is parsed as soon as
+it is whole and the field lines (``_fields``) once the head ends.
+``_content_length`` frames the body before any route is looked up. Then
 ``_dispatch`` finds the handler in ``_ROUTES`` and maps the domain errors it
 raises to statuses, and ``_respond`` writes the response head. An emission
 reaches the loop once, through its event's ``_EventStreams``.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import collections
 import email.utils
 import functools
-import io
 import logging
 import math
 import re
@@ -69,6 +71,9 @@ MAX_HEAD_LINES = 100
 TIMEOUT_SECONDS = 10.0
 # Connections served at once; one more is answered 503 and closed.
 MAX_CONNECTIONS = 512
+# Requests answered on one connection before the loop serves the others; the
+# rest of a pipelined burst waits for the next turn, unread from the socket.
+REQUESTS_PER_TURN = 8
 # Seconds stop() gives the responses and stream ends in flight to go out.
 STOP_SECONDS = 5.0
 SERVER_NAME = "wotsim/0.1"
@@ -90,47 +95,9 @@ class _Refused(Exception):
     """A request refused before it reaches a Thing; args are (status, message)."""
 
 
-def _read_head(rfile) -> tuple[str, str, tuple[int, int], dict[str, list[str]]] | None:
-    """Read one request head from a binary file: (method, target, (major,
-    minor) version, headers), None if the input ends or holds a blank line
-    where the request line should be.
-
-    Headers map each lowercased field name to its values in arrival order,
-    without surrounding spaces and tabs; an obs-folded line joins the value
-    before it after one space. Raises _Refused as _request_line does, and for
-    header lines too long or too many (431) or malformed (400).
-    """
-    request = _request_line(rfile.readline(MAX_LINE_BYTES + 1))
-    if request is None:
-        return None
-    headers: dict[str, list[str]] = {}
-    values = None  # of the last field line, which an obs-fold continues
-    for _ in range(MAX_HEAD_LINES):
-        line = rfile.readline(MAX_LINE_BYTES + 1)
-        if len(line) > MAX_LINE_BYTES:
-            raise _Refused(431, "header line too long")
-        if line in _LINE_ENDS:
-            return (*request, headers)
-        text = line.decode("latin-1").rstrip("\r\n")
-        if "\r" in text:  # a bare CR (RFC 9112 section 2.2)
-            raise _Refused(400, "bare CR in a header line")
-        if text.startswith((" ", "\t")):  # obs-fold (RFC 9112 section 5.2)
-            if values is not None:
-                values[-1] = f"{values[-1]} {text.strip(_OWS)}".strip(_OWS)
-            continue
-        name, colon, value = text.partition(":")
-        if not (colon and _TOKEN.fullmatch(name)):  # also a space before the colon
-            raise _Refused(400, f"malformed header line {text[:80]!r}")
-        values = headers.setdefault(name.lower(), [])
-        values.append(value.strip(_OWS))
-    raise _Refused(431, f"more than {MAX_HEAD_LINES - 1} header lines")
-
-
 def _request_line(line: bytes) -> tuple[str, str, tuple[int, int]] | None:
     """(method, target, version) of a request line, None if it is blank. Raises
-    _Refused for a line too long (414) or malformed (400) and HTTP/2+ (505)."""
-    if len(line) > MAX_LINE_BYTES:
-        raise _Refused(414, "request line too long")
+    _Refused for a malformed line (400) and HTTP/2+ (505)."""
     words = line.decode("latin-1").split()
     if not words:
         return None
@@ -144,6 +111,31 @@ def _request_line(line: bytes) -> tuple[str, str, tuple[int, int]] | None:
     if target.startswith("//"):
         target = "/" + target.lstrip("/")
     return method, target, version
+
+
+def _fields(block: bytes) -> dict[str, list[str]]:
+    """The header fields of a head's field lines, each but the last ended by
+    a LF: lowercased field name -> values in arrival order, without
+    surrounding spaces and tabs; an obs-folded line joins the value before it
+    after one space. Raises _Refused (400) for a bare CR or a malformed line."""
+    headers: dict[str, list[str]] = {}
+    values = None  # of the last field line, which an obs-fold continues
+    for text in block.decode("latin-1").split("\n"):
+        if not text:  # past the last line end
+            break
+        text = text.rstrip("\r")
+        if "\r" in text:  # a bare CR (RFC 9112 section 2.2)
+            raise _Refused(400, "bare CR in a header line")
+        if text.startswith((" ", "\t")):  # obs-fold (RFC 9112 section 5.2)
+            if values is not None:
+                values[-1] = f"{values[-1]} {text.strip(_OWS)}".strip(_OWS)
+            continue
+        name, colon, value = text.partition(":")
+        if not (colon and _TOKEN.fullmatch(name)):  # also a space before the colon
+            raise _Refused(400, f"malformed header line {text[:80]!r}")
+        values = headers.setdefault(name.lower(), [])
+        values.append(value.strip(_OWS))
+    return headers
 
 
 def _version(text: str) -> tuple[int, int]:
@@ -189,7 +181,8 @@ class _Connection:
         self.sock = sock
         self.client = client
         self.inbuf = bytearray()
-        self.scanned = self.line_start = self.lines = 0  # of the head, see _head_ready
+        self.scanned = self.line_start = self.lines = 0  # of the head, see _scan_head
+        self.request, self.fields_at = None, 0  # its request line and where its fields start
         self.out: collections.deque[bytes] = collections.deque()
         self.sent = 0  # bytes of out[0] already sent
         self.mask = selectors.EVENT_READ  # what the selector watches for
@@ -204,6 +197,8 @@ class _Connection:
         self.body = b""  # until a handler reads it
 
     def on_event(self, mask: int) -> None:
+        if self in self.servient._pending:  # served in its turn, after the select
+            return
         try:
             if mask & selectors.EVENT_READ:
                 self._receive()
@@ -229,21 +224,22 @@ class _Connection:
 
     def serve(self) -> None:
         """Send what is pending; then, while nothing is, answer each complete
-        request received."""
+        request received, up to REQUESTS_PER_TURN of them this turn."""
         if self.out:
             self.flush()
+        answered = 0
         while not (self.out or self.closed or self.close_connection or self.servient._stopping):
+            if answered == REQUESTS_PER_TURN and self.inbuf:  # the others' turn first
+                return self.servient._pending.add(self)
             if self.framed is None:
                 self.command = ""
                 try:
-                    if not self._head_ready():
-                        return
-                    reader = io.BytesIO(self.inbuf)
-                    head = _read_head(reader)
+                    head = self._scan_head()
                     if head is None:
+                        return
+                    if not head:
                         return self.close()
-                    self.command, self.path, self.version, self.headers = head
-                    start = reader.tell()
+                    self.command, self.path, self.version, self.headers, start = head
                     self.framed = start, start + _content_length(self.headers)
                 except _Refused as exc:
                     self.close_connection = True
@@ -264,32 +260,40 @@ class _Connection:
             self.close_connection = (connection == "close"
                                      or (self.version < (1, 1) and connection != "keep-alive"))
             self._dispatch()
+            answered += 1
             if self.inbuf:  # the next request's first bytes are here
                 self.servient._arm(self, TIMEOUT_SECONDS)
             self.flush()
         if self.ended and not (self.out or self.closed or self.stream):
             self.close()  # no more requests can come
 
-    def _head_ready(self) -> bool:
-        """True once _read_head can decide the head: a blank line has arrived,
-        the client has ended, or a line or the line count is past its limit.
-        Searches only the bytes received since the last call (from `scanned`),
-        counting `lines` and where the unfinished one starts (`line_start`)."""
+    def _scan_head(self) -> tuple | None:
+        """The request head at the front of `inbuf`: (method, target, version,
+        headers, body offset), None until it can be decided, () if a blank line
+        or the client's end comes first. Only bytes new since the last call are
+        searched for line ends, and each line is held to the limits as its end
+        is found. The request line is parsed at once, the field lines when the
+        blank line arrives or the client ends. Raises _Refused."""
         inbuf, start, lines = self.inbuf, self.line_start, self.lines
         end = inbuf.find(b"\n", self.scanned)
-        while end >= 0:
+        while end >= 0 or self.ended or len(inbuf) - start > MAX_LINE_BYTES:
+            stop = end + 1 if end >= 0 else len(inbuf)  # an unfinished line ends here
+            if stop - start > MAX_LINE_BYTES:
+                raise (_Refused(431, "header line too long") if lines
+                       else _Refused(414, "request line too long"))
             lines += 1
-            if (end - start < 2 and inbuf[start:end] in (b"", b"\r")  # a blank line
-                    or end - start >= MAX_LINE_BYTES or lines > MAX_HEAD_LINES):
-                return True
-            start = end + 1
+            if lines == 1:
+                self.request, self.fields_at = _request_line(inbuf[:stop]), stop
+                if self.request is None:
+                    return ()
+            elif stop - start < 3 and inbuf[start:stop] in _LINE_ENDS:  # the head's end
+                return (*self.request, _fields(inbuf[self.fields_at:start]), stop)
+            elif lines > MAX_HEAD_LINES:
+                raise _Refused(431, f"more than {MAX_HEAD_LINES - 1} header lines")
+            start = stop
             end = inbuf.find(b"\n", start)
-        # A request line just whole is checked now: refused if bad, no head if blank.
-        first_line = lines > 0 and not self.lines
         self.scanned, self.line_start, self.lines = len(inbuf), start, lines
-        if self.ended or len(inbuf) - start > MAX_LINE_BYTES:
-            return True
-        return first_line and _request_line(bytes(inbuf[:inbuf.index(b"\n") + 1])) is None
+        return None
 
     def flush(self) -> None:
         """Send what the socket takes now, and watch for writability while
@@ -551,6 +555,7 @@ class ServerHandle:
         for sock in (listener, self._wakeup, self._waker):
             sock.setblocking(False)
         self._connections: set[_Connection] = set()
+        self._pending: set[_Connection] = set()  # with requests left for their next turn
         self._event_streams: dict[tuple[str, str], _EventStreams] = {}
         self._ready: collections.deque = collections.deque()  # (streams, message) to deliver
         self._next_sweep = math.inf  # no connection expires earlier
@@ -588,10 +593,14 @@ class ServerHandle:
         due = next_due(None, next(gaps, math.inf), time.monotonic())
         try:
             while not self._stopping:
-                timeout = min(due, self._next_sweep) - time.monotonic()
+                timeout = 0.0 if self._pending else min(due, self._next_sweep) - time.monotonic()
+                waiting = list(self._pending)
                 for key, mask in self._selector.select(
                         None if timeout == math.inf else max(timeout, 0.0)):
                     key.data(mask)
+                for connection in waiting:
+                    self._pending.discard(connection)
+                    connection.on_event(0)  # no new bytes: answer the next buffered requests
                 now = time.monotonic()
                 while due <= now:  # resuming the schedule emits the event that is due
                     due = next_due(due, next(gaps, math.inf), time.monotonic())
@@ -700,5 +709,9 @@ def serve(things: list[VirtualThing], config: ServientConfig) -> ServerHandle:
     except OSError as exc:
         raise BindFailure(f"cannot bind {config.address}:{config.port}: {exc}") from exc
     handle = ServerHandle(listener, registry, config)
-    handle.start()
+    try:
+        handle.start()
+    except BaseException:  # such as an interrupt once the loop serves
+        handle.stop()
+        raise
     return handle

@@ -278,6 +278,32 @@ def test_interrupt_just_after_serving_stops_the_servient(monkeypatch):
     assert len(stopped) == 1 and not stopped[0]._thread.is_alive()
 
 
+def test_interrupt_inside_serve_stops_the_servient(monkeypatch):
+    # The loop already answers when start() logs where it listens.
+    info = server.logger.info
+
+    def interrupted(message, *args):
+        if message.startswith("servient listening on"):
+            raise KeyboardInterrupt
+        return info(message, *args)
+
+    def loops():
+        return {t for t in threading.enumerate() if t.name == "wotsim-loop" and t.is_alive()}
+
+    before = loops()
+    monkeypatch.setattr(server.logger, "info", interrupted)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    try:
+        code = main(["run", str(FIXTURE_DIR / "coffee-machine.td.json"),
+                     "--port", str(free_port()), "--event-mode", "none"])
+    except KeyboardInterrupt:  # escaped serve()
+        code = None
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    assert code == 0
+    assert loops() <= before
+
+
 def start_run_process(*extra, port=None, tds=("coffee-machine.td.json",)):
     port = port or free_port()
     argv = [sys.executable, "-m", "wotsim", "run",

@@ -616,6 +616,62 @@ class TestPersistentConnections:
         assert statuses == [200] * 100
         assert elapsed < 2.0
 
+    def test_pipelined_burst_leaves_other_connections_their_turn(self, coffee_text,
+                                                                 monkeypatch):
+        # One connection is answered REQUESTS_PER_TURN requests at a time, so a
+        # burst of a thousand holds up another connection for a turn, not for
+        # all of them.
+        order, b_sent = [], threading.Event()
+        dispatch = server._Connection._dispatch
+
+        def recorded(connection):
+            order.append(connection.sock.getpeername())
+            if len(order) == 3:  # the burst's first request: b sends while it waits
+                b_sent.wait(TIMEOUT)
+            return dispatch(connection)
+
+        monkeypatch.setattr(server._Connection, "_dispatch", recorded)
+        one = http_request("GET", "/Coffee-Machine/properties/state")
+        every = http_request("GET", "/Coffee-Machine/properties")
+        with running_server([coffee_text]) as handle, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as a, \
+                socket.create_connection(("127.0.0.1", handle.port), timeout=TIMEOUT) as b, \
+                a.makefile("rb") as a_reader, b.makefile("rb") as b_reader:
+            for sock, reader in ((a, a_reader), (b, b_reader)):
+                sock.sendall(one)
+                assert read_response(reader)[0] == 200
+            a.sendall((one + every) * 500)
+            b.sendall(one)
+            b_sent.set()
+            burst = [read_response(a_reader) for _ in range(1000)]
+            assert read_response(b_reader)[0] == 200
+            a_name, b_name = a.getsockname(), b.getsockname()
+        b_again = order.index(b_name, 2)
+        assert order[2:b_again] == [a_name] * (b_again - 2)
+        assert b_again - 2 <= 2 * server.REQUESTS_PER_TURN
+        assert {status for status, _, _ in burst} == {200}
+        # In order: a lone property's value, then the object of every property.
+        assert [type(json.loads(body)) for _, _, body in burst] == [str, dict] * 500
+
+    def test_failure_in_a_later_turn_closes_its_connection_alone(self, coffee_text,
+                                                                 monkeypatch):
+        parsed = []
+
+        def fields(block, original=server._fields):
+            parsed.append(block)
+            if len(parsed) == server.REQUESTS_PER_TURN + 2:  # in the burst's second turn
+                raise RuntimeError("parser exploded")
+            return original(block)
+
+        monkeypatch.setattr(server, "_fields", fields)
+        request = http_request("GET", "/Coffee-Machine/properties/state")
+        with running_server([coffee_text]) as handle:
+            answer = raw_exchange(handle.port, request * 20)
+            other = raw_exchange(handle.port, http_request("GET", "/Coffee-Machine",
+                                                           Connection="close"))
+        assert answer.count(b"HTTP/1.1 200 OK\r\n") == server.REQUESTS_PER_TURN + 1
+        assert closes_then_eof(other) == 200
+
     # A request hidden in the body must never be answered as a request.
     SMUGGLED = b"GET /Coffee-Machine HTTP/1.1\r\nHost: x\r\n\r\n"
 
@@ -746,13 +802,13 @@ def test_refused_head_answers_a_json_error(coffee_servient, head, status):
 
 def test_head_sent_line_by_line_is_read_once(coffee_servient, monkeypatch):
     reads = []
-    original = server._read_head
+    for name in ("_request_line", "_fields"):  # the head's two parse steps
+        def counted(data, name=name, original=getattr(server, name)):
+            if data:  # not the client's close, read as an empty request line
+                reads.append(name)
+            return original(data)
 
-    def counted(rfile):
-        reads.append(rfile)
-        return original(rfile)
-
-    monkeypatch.setattr(server, "_read_head", counted)
+        monkeypatch.setattr(server, name, counted)
     lines = ([b"GET /Coffee-Machine HTTP/1.1\r\n"]
              + [b"X-Line-%d: 1\r\n" % n for n in range(48)] + [b"\r\n"])
     with socket.create_connection(("127.0.0.1", coffee_servient.port),
@@ -762,7 +818,7 @@ def test_head_sent_line_by_line_is_read_once(coffee_servient, monkeypatch):
             time.sleep(0.002)
         status = read_response(reader)[0]
     assert (len(lines), status) == (50, 200)
-    assert len(reads) <= 2
+    assert reads == ["_request_line", "_fields"]
 
 
 def test_malformed_header_line_is_refused_when_its_head_ends(coffee_servient):
@@ -1020,10 +1076,10 @@ def test_failed_delivery_ends_its_streams_alone(coffee_text, caplog):
 
 
 def test_server_tracebacks_go_through_logging(coffee_text, monkeypatch, caplog, capsys):
-    def broken_parse(rfile):
+    def broken_parse(block):
         raise RuntimeError("parser exploded")
 
-    monkeypatch.setattr(server, "_read_head", broken_parse)
+    monkeypatch.setattr(server, "_fields", broken_parse)
     with running_server([coffee_text]) as handle:
         answer = raw_exchange(handle.port, b"GET /Coffee-Machine HTTP/1.1\r\n\r\n")
     assert answer == b""

@@ -10,19 +10,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wotsim.server import _read_head, _Refused
+from wotsim.server import _Connection, _Refused
 
 TCHAR = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def verdict(head: bytes):
-    """What _read_head makes of a head: ("closed",), (status,) for a
-    refusal, or ("accepted", method, target, version, headers)."""
+def read_head(pieces) -> tuple:
+    """What a connection's head reader makes of a head received in `pieces`,
+    then the client's end: (status,) for a refusal, else what it returns."""
+    connection = _Connection(None, None, "client")
     try:
-        parsed = _read_head(io.BytesIO(head))
+        for piece in pieces:
+            connection.inbuf += piece
+            if (head := connection._scan_head()) is not None:
+                return head
+        connection.ended = True
+        return connection._scan_head()
     except _Refused as exc:
         return (exc.args[0],)
-    return ("closed",) if parsed is None else ("accepted", *parsed)
+
+
+def verdict(head: bytes):
+    """What the servient makes of a head received whole, then the client's
+    end: ("closed",), (status,) for a refusal, or ("accepted", method,
+    target, version, headers)."""
+    read = read_head([head])
+    if len(read) == 1:
+        return read
+    return ("accepted", *read[:4]) if read else ("closed",)
 
 
 class _StdlibRules(http.server.BaseHTTPRequestHandler):
@@ -164,6 +179,15 @@ def test_reader_agrees_with_the_standard_library(case):
         assert mine == (400,) and mutations & ALLOWED_400, (head[:300], mine, theirs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(request_heads(), st.data())
+def test_head_in_pieces_reads_as_the_whole_head(case, data):
+    head = case[0]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(head)), max_size=12)))
+    pieces = [head[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(head)])]
+    assert read_head(pieces) == read_head([head])
+
+
 @pytest.mark.parametrize("head,expected", [
     (b"GET /x HTTP/1.1\r\nHost: a\r\nX-A: 1\r\nx-a:2 \r\n\r\n",
      ("accepted", "GET", "/x", (1, 1), {"host": ["a"], "x-a": ["1", "2"]})),
@@ -183,6 +207,15 @@ def test_reader_agrees_with_the_standard_library(case):
     (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 100 + b"\r\n", (431,)),
     (b"GET / HTTP/1.1 x\r\n\r\n", (400,)),
     (b"GET / x HTTP/2.0\r\n\r\n", (505,)),
+    # A limit is refused before a malformed line, as http.client reads them.
+    (b"GET / HTTP/1.1\r\nno colon\r\nX: " + b"a" * 65534 + b"\r\n\r\n", (431,)),
+    (b"GET / HTTP/1.1\r\nno colon\r\n" + b"X-Many: 1\r\n" * 99 + b"\r\n", (431,)),
+    # The client's end finishes the last line, which counts as a line.
+    (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 98 + b"X: 2",
+     ("accepted", "GET", "/", (1, 1), {"x-many": ["1"] * 98, "x": ["2"]})),
+    (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 99 + b"X: 2", (431,)),
+    (b"GET / HTTP/1.1\r\nHost: a\r\n\r", (400,)),
+    (b"GET / HTTP/1.1", ("accepted", "GET", "/", (1, 1), {})),
 ])
 def test_reader_on_chosen_heads(head, expected):
     assert verdict(head) == expected
