@@ -25,12 +25,12 @@ import time
 from urllib.parse import urlsplit, urlunsplit
 
 from .config import LOG_LEVELS, EventMode, build_config, load_config_file
-from .errors import BindFailure, DuplicateThingName, Unsatisfiable, WotSimError
-from .generator import RandomSource, generate
+from .errors import BindFailure, DuplicateThingName, MalformedJson, Unsatisfiable, WotSimError
+from .generator import RandomSource, generate_json
 from .model import DataSchema, is_present
 from .runtime import VirtualThing, url_segment
 from .server import serve
-from .td import parse_td
+from .td import loads, parse_td
 from .validator import json_equal, validate
 
 logger = logging.getLogger(__name__)
@@ -364,11 +364,20 @@ def _form_url(forms, base) -> str | None:
     return None
 
 
-def _violation_summary(result) -> str:
-    parts = [f"{v.path or '/'}: {v.detail}" for v in result.violations[:3]]
-    if len(result.violations) > 3:
-        parts.append(f"(+{len(result.violations) - 3} more)")
-    return "; ".join(parts)
+def _nonconforming(what: str, schema: DataSchema, body: bytes) -> str | None:
+    """Why a received body fails its schema, None if it conforms. It is read
+    by the rules the servient reads its own bodies by (``td.loads``)."""
+    try:
+        value = loads(body)
+    except MalformedJson:
+        return f"{what} is not JSON"
+    violations = validate(schema, value).violations
+    if not violations:
+        return None
+    parts = [f"{v.path or '/'}: {v.detail}" for v in violations[:3]]
+    if len(violations) > 3:
+        parts.append(f"(+{len(violations) - 3} more)")
+    return f"{what} violates its schema: {'; '.join(parts)}"
 
 
 def _check_property(connections, name, prop, base, rng) -> ProbeCheck:
@@ -381,14 +390,8 @@ def _check_property(connections, name, prop, base, rng) -> ProbeCheck:
         return ProbeCheck(name, "property", "FAIL", f"GET failed: {exc}")
     if status != 200:
         return ProbeCheck(name, "property", "FAIL", f"GET answered {status}")
-    try:
-        value = json.loads(body)
-    except ValueError:
-        return ProbeCheck(name, "property", "FAIL", "response body is not JSON")
-    outcome = validate(prop.data_schema, value)
-    if not outcome.valid:
-        return ProbeCheck(name, "property", "FAIL",
-                          f"read value violates its schema: {_violation_summary(outcome)}")
+    if failure := _nonconforming("read value", prop.data_schema, body):
+        return ProbeCheck(name, "property", "FAIL", failure)
     notes = ["read conforms"]
     if not prop.read_only:
         note = _check_property_write(connections, url, prop, rng)
@@ -400,11 +403,11 @@ def _check_property(connections, name, prop, base, rng) -> ProbeCheck:
 
 def _check_property_write(connections, url, prop, rng) -> str:
     try:
-        value = generate(prop.data_schema, rng)
+        sent = generate_json(prop.data_schema, rng).encode("utf-8")
     except Unsatisfiable:
         return "write skipped: no conforming value could be built"
     try:
-        status, _ = _request(connections, "PUT", url, json.dumps(value).encode())
+        status, _ = _request(connections, "PUT", url, sent)
     except _HTTP_ERRORS as exc:
         return f"FAIL: PUT failed: {exc}"
     if status == 405:
@@ -413,10 +416,10 @@ def _check_property_write(connections, url, prop, rng) -> str:
         return f"FAIL: PUT answered {status}"
     try:
         _, body = _request(connections, "GET", url)
-        stored = json.loads(body)
-    except _HTTP_ERRORS as exc:  # its ValueError covers a body that is not JSON
+        stored = loads(body)
+    except (*_HTTP_ERRORS, MalformedJson) as exc:
         return f"FAIL: readback after write failed: {exc}"
-    if not json_equal(stored, value):
+    if not json_equal(stored, loads(sent)):
         return "FAIL: written value did not persist"
     return "write persisted"
 
@@ -428,7 +431,7 @@ def _check_action(connections, name, action, base, rng) -> ProbeCheck:
     payload = None
     if action.input is not None:
         try:
-            payload = json.dumps(generate(action.input, rng)).encode()
+            payload = generate_json(action.input, rng).encode("utf-8")
         except Unsatisfiable:
             return ProbeCheck(name, "action", "FAIL",
                               "cannot build a conforming input value")
@@ -439,14 +442,8 @@ def _check_action(connections, name, action, base, rng) -> ProbeCheck:
     if not 200 <= status < 300:
         return ProbeCheck(name, "action", "FAIL", f"POST answered {status}")
     if action.output is not None:
-        try:
-            output = json.loads(body)
-        except ValueError:
-            return ProbeCheck(name, "action", "FAIL", "output body is not JSON")
-        outcome = validate(action.output, output)
-        if not outcome.valid:
-            return ProbeCheck(name, "action", "FAIL",
-                              f"output violates its schema: {_violation_summary(outcome)}")
+        if failure := _nonconforming("output", action.output, body):
+            return ProbeCheck(name, "action", "FAIL", failure)
         return ProbeCheck(name, "action", "PASS", "invoked, output conforms")
     return ProbeCheck(name, "action", "PASS", f"invoked ({status})")
 
@@ -555,15 +552,8 @@ def _read_events(name, schema, response, sock, deadline) -> ProbeCheck:
             if not line.endswith(b"\n"):
                 break  # the stream ended, cut off mid-line if at all
             if line.startswith(b"data:"):
-                try:
-                    payload = json.loads(line[len(b"data:"):])
-                except ValueError:
-                    return ProbeCheck(name, "event", "FAIL", "event payload is not JSON")
-                outcome = validate(schema, payload)
-                if not outcome.valid:
-                    return ProbeCheck(name, "event", "FAIL",
-                                      f"payload violates its schema: "
-                                      f"{_violation_summary(outcome)}")
+                if failure := _nonconforming("payload", schema, line[len(b"data:"):]):
+                    return ProbeCheck(name, "event", "FAIL", failure)
                 received += 1
     except _HTTP_ERRORS:
         pass  # stream closed or silent to the end of the window; whatever arrived counts

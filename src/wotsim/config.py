@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
+
+from .errors import MalformedJson
+from .td import loads
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -112,13 +114,13 @@ def load_config_file(path: str) -> dict:
     ValueError on unreadable files, bad JSON, unknown keys or bad value types.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = loads(data)
+    except MalformedJson as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")

@@ -20,6 +20,7 @@ import sys
 
 from .errors import Unsatisfiable
 from .model import DataSchema, Json, is_present
+from .td import json_text
 from .validator import validate
 
 logger = logging.getLogger(__name__)
@@ -61,14 +62,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
-
-
-_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-
-
-def json_text(value: Json) -> str:
-    """The JSON text of a value, as every served body writes it."""
-    return _ENCODER.encode(value)
 
 
 def generate(schema: DataSchema, rng: RandomSource, depth: int = 0) -> Json:

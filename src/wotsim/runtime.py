@@ -1,18 +1,18 @@
 """The virtual Thing itself: property state, action dispatch, event emission,
 and the rewritten TD it presents to consumers.
 
-One VirtualThing may be driven by concurrent request handlers; a single
-instance lock makes property reads/writes linearizable and keeps the
-request-facing RandomSource single-owner. One schedule, ``schedule_events``,
-times every event of a servient; each event draws its gaps and payloads from
-its own derived RandomSource, so background emissions never perturb the
-request-visible draw sequence. Each emission's JSON text is drawn once, and
-its UTF-8 bytes are shared by all of its subscribers.
+The servient answers every request from its one loop thread, but a library
+caller may share a VirtualThing across threads: a single instance lock makes
+property reads/writes linearizable and keeps the request-facing RandomSource
+single-owner. One schedule, ``schedule_events``, times every event of a
+servient; each event draws its gaps and payloads from its own derived
+RandomSource, so background emissions never perturb the request-visible draw
+sequence. Each emission's JSON text is drawn once, and its UTF-8 bytes are
+shared by all of its subscribers.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import heapq
 import json
@@ -33,16 +33,12 @@ from .errors import (
     Unsatisfiable,
 )
 # Nothing here calls generate; bench/tracing.py wraps it as runtime.generate.
-from .generator import RandomSource, generate, generate_json, json_text, prepare
+from .generator import RandomSource, generate, generate_json, prepare
 from .model import MISSING, Form, Json, ThingDescription, is_present
+from .td import json_text
 from .validator import Violation, compile_checker, validate
 
 logger = logging.getLogger(__name__)
-
-
-def _encode(value: Json) -> bytes:
-    """The UTF-8 JSON body of a property value."""
-    return json_text(value).encode("utf-8")
 
 
 def url_segment(name: str) -> str:
@@ -63,8 +59,7 @@ def rewrite_td(td: ThingDescription, base_url: str) -> ThingDescription:
         rewritten = {}
         for name, aff in affordances.items():
             href = f"{base_url}/{thing_seg}/{kind}/{url_segment(name)}"
-            raw = copy.deepcopy(aff.raw)
-            raw["forms"] = [{"href": href}]
+            raw = {**aff.raw, "forms": [{"href": href}]}  # model trees are never mutated
             rewritten[name] = dataclasses.replace(aff, forms=(Form(href=href),), raw=raw)
         return rewritten
 
@@ -118,7 +113,7 @@ def run_events(events: list[tuple["VirtualThing", str]], clock) -> None:
 # Messages a subscription holds for its reader; 5 s at 200 emissions/s.
 SUBSCRIPTION_BUFFER = 1024
 # Queued to every live subscription by stop_events: the stream is over.
-_END_OF_STREAM = object()
+END_OF_STREAM = object()
 
 
 class EventSubscription:
@@ -140,7 +135,7 @@ class EventSubscription:
     def _put(self, message) -> None:
         # Callers hold the Thing's lock, so only the reader runs alongside,
         # and it can only make room. The end marker is never refused.
-        if message is not _END_OF_STREAM and self._queue.qsize() >= SUBSCRIPTION_BUFFER:
+        if message is not END_OF_STREAM and self._queue.qsize() >= SUBSCRIPTION_BUFFER:
             self._queue.get_nowait()
             self.dropped += 1
         self._queue.put(message)
@@ -149,7 +144,7 @@ class EventSubscription:
         """Next payload as UTF-8 JSON; raises queue.Empty when the timeout
         elapses, and EOFError once the Thing has stopped its events."""
         message = self._queue.get(timeout=timeout)
-        if message is _END_OF_STREAM:
+        if message is END_OF_STREAM:
             self._queue.put(message)  # every later get ends as well
             raise EOFError("the Thing has stopped its events")
         return message
@@ -243,7 +238,7 @@ class VirtualThing:
                     result.violations,
                 )
             try:
-                self._store[name] = _encode(value)
+                self._store[name] = json_text(value).encode("utf-8")
             except (ValueError, TypeError) as exc:
                 raise InvalidValue(
                     f"value of property {name!r} is not JSON",
@@ -264,8 +259,8 @@ class VirtualThing:
             drawn = {name: generate_json(aff.data_schema, self.rng)
                      for name, aff in properties.items() if name not in written}
         return b"{" + b", ".join(
-            _encode(name) + b": " + (written[name] if name in written
-                                     else drawn[name].encode("utf-8"))
+            json_text(name).encode("utf-8") + b": "
+            + (written[name] if name in written else drawn[name].encode("utf-8"))
             for name in properties) + b"}"
 
     # --- actions --------------------------------------------------------
@@ -307,14 +302,14 @@ class VirtualThing:
     def subscribe_event(self, name: str, subscriber=None):
         """Subscribe a new EventSubscription, or the given subscriber: one with
         an `event_name` and a `_put(message)` that takes each emission's UTF-8
-        JSON, then _END_OF_STREAM, on the emitting thread under the Thing's lock."""
+        JSON, then END_OF_STREAM, on the emitting thread under the Thing's lock."""
         with self._lock:
             if name not in self.original_td.events:
                 raise UnknownEvent(f"no event named {name!r}")
             if subscriber is None:  # not `or`: a subscriber may be falsy, as an empty set
                 subscriber = EventSubscription(self, name)
             if self._stopped:
-                subscriber._put(_END_OF_STREAM)
+                subscriber._put(END_OF_STREAM)
             else:
                 self._subscribers[name].add(subscriber)
             return subscriber
@@ -361,5 +356,5 @@ class VirtualThing:
             self._stopped = True
             for subscriptions in self._subscribers.values():
                 for subscription in subscriptions:
-                    subscription._put(_END_OF_STREAM)
+                    subscription._put(END_OF_STREAM)
                 subscriptions.clear()

@@ -49,9 +49,8 @@ from .errors import (
     ValidationFailed,
 )
 from .model import MISSING
-from .runtime import (_END_OF_STREAM, SUBSCRIPTION_BUFFER, VirtualThing, _encode, next_due,
-                      schedule_events)
-from .td import _loads, serialize_td
+from .runtime import END_OF_STREAM, SUBSCRIPTION_BUFFER, VirtualThing, next_due, schedule_events
+from .td import json_text, loads, serialize_td
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +156,10 @@ def _content_length(headers: dict[str, list[str]]) -> int:
     text = lengths[0].strip()
     if not (text.isascii() and text.isdigit()):
         raise _Refused(400, f"Content-Length {text!r} is not a non-negative integer")
-    if int(text) > MAX_BODY_BYTES:
+    digits = text.lstrip("0") or "0"  # counted first: int() refuses over 4300 digits
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    return int(text)
+    return int(digits)
 
 
 def _chunk(data: bytes) -> bytes:
@@ -402,7 +402,7 @@ class _Connection:
         doc: dict = {"error": message}
         if violations is not None:
             doc["violations"] = [v.as_dict() for v in violations]
-        self._respond(status, _encode(doc), headers=headers)
+        self._respond(status, json_text(doc).encode("utf-8"), headers=headers)
 
     # --- dispatch --------------------------------------------------------
 
@@ -429,7 +429,7 @@ class _Connection:
             self._respond_error(405, str(exc), headers={"Allow": "GET"})
         except ValidationFailed as exc:
             self._respond_error(400, str(exc), exc.violations)
-        except (MalformedJson, UnicodeDecodeError) as exc:
+        except MalformedJson as exc:
             self._respond_error(400, f"malformed JSON body: {exc}")
         except Exception as exc:
             logger.exception("%s %s failed", self.command, self.path)
@@ -457,12 +457,12 @@ class _Connection:
         self._respond(200, thing.read_property_json(name))
 
     def _write_property(self, thing: VirtualThing, name: str):
-        thing.write_property(name, _loads(self._read_body().decode("utf-8")))
+        thing.write_property(name, loads(self._read_body()))
         self._respond(204)
 
     def _invoke_action(self, thing: VirtualThing, name: str):
         body = self._read_body()
-        value = _loads(body.decode("utf-8")) if body.strip() else MISSING
+        value = loads(body) if body.strip() else MISSING
         output = thing.invoke_action_json(name, value)
         if output is None:
             self._respond(204)
@@ -517,7 +517,7 @@ class _EventStreams(set):
         Thing has stopped its events. A message that fails closes this
         event's streams alone."""
         try:
-            if message is _END_OF_STREAM:
+            if message is END_OF_STREAM:
                 for stream in list(self):
                     stream.end_stream()
             else:

@@ -4,6 +4,10 @@ Parsing is deliberately forgiving: only "title" is a hard requirement, other
 members the W3C draft marks mandatory produce warnings, and unrecognized
 content is carried through untouched so a parse/serialize round trip loses
 nothing.
+
+This module also owns JSON text: ``loads`` reads every text from outside by
+one set of rules (finite numbers, at most MAX_JSON_DEPTH levels deep, the last
+of duplicate members wins), and ``json_text`` writes every body sent.
 """
 
 from __future__ import annotations
@@ -103,24 +107,40 @@ _CHECKING = json.JSONDecoder(object_pairs_hook=_pairs_last_wins,
 _FAST = json.JSONDecoder(object_pairs_hook=_pairs_last_wins, parse_constant=_finite_number)
 
 
-def _loads(text: str) -> Json:
-    depth, may_overflow = _scan(text)
-    if depth > MAX_JSON_DEPTH:
-        raise MalformedJson(f"JSON nested deeper than {MAX_JSON_DEPTH} levels")
+def loads(text: str | bytes) -> Json:
+    """The value of JSON text from outside the package, text given as bytes
+    read as UTF-8. Raises MalformedJson for text that is not UTF-8 or not
+    JSON, a number that is not finite, or nesting past MAX_JSON_DEPTH."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        depth, may_overflow = _scan(text)
+        if depth > MAX_JSON_DEPTH:
+            raise MalformedJson(f"JSON nested deeper than {MAX_JSON_DEPTH} levels")
         return (_CHECKING if may_overflow else _FAST).decode(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or too long an integer
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
 
-def _refuse_lone_surrogates(text: str, doc: Json) -> None:
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def json_text(value: Json, indent: int | None = None) -> str:
+    """The JSON text of every body sent: characters unescaped, compact unless
+    indented. Raises ValueError (NaN, infinities) or TypeError (not JSON)."""
+    if indent is None:
+        return _ENCODER.encode(value)
+    return json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=indent).encode(value)
+
+
+def _refuse_lone_surrogates(text: str | bytes, doc: Json) -> None:
     """Raise MalformedJson if a string of the decoded document holds a lone
     surrogate, which no UTF-8 document (such as the served TD) can carry: as
     itself, in text given as str, or written as a \\u escape."""
     try:
-        text.encode("utf-8")
-        if "\\ud" in text or "\\uD" in text:  # may escape a surrogate
-            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        raw = text.encode("utf-8") if isinstance(text, str) else text
+        if b"\\ud" in raw or b"\\uD" in raw:  # may escape a surrogate
+            json_text(doc).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise MalformedJson(f"a string holds a lone surrogate: {exc}") from exc
 
@@ -298,12 +318,7 @@ def parse_td(text: str | bytes) -> ThingDescription:
     MissingTitle, InvalidSchemaBounds or TypeMismatch. Missing
     properties/actions/events sections yield empty maps.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"TD text is not valid UTF-8: {exc}") from exc
-    doc = _loads(text)
+    doc = loads(text)
     _refuse_lone_surrogates(text, doc)
     if not isinstance(doc, dict):
         raise NotAnObject("a Thing Description must be a JSON object")
@@ -400,4 +415,4 @@ def serialize_td(td: ThingDescription, *, indent: int | None = None) -> str:
         if affordances or section in td.explicit_sections:
             doc[section] = {name: aff.raw for name, aff in affordances.items()}
     doc.update(td.extra)
-    return json.dumps(doc, ensure_ascii=False, allow_nan=False, indent=indent)
+    return json_text(doc, indent)

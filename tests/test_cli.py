@@ -104,9 +104,11 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config_file(str(tmp_path / "absent.json"))
         broken = tmp_path / "broken.json"
-        broken.write_text("{oops")
-        with pytest.raises(ValueError):
-            load_config_file(str(broken))
+        for text in (b"{oops", b'{"seed": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                     b'{"address": "\xff"}'):
+            broken.write_bytes(text)
+            with pytest.raises(ValueError, match="is not valid JSON"):
+                load_config_file(str(broken))
 
 
 class TestBuildConfig:
@@ -432,9 +434,35 @@ class _FaultyHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def faulty_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _FaultyHandler)
+class _NotJsonHandler(_FaultyHandler):
+    """Serves, as property values and as an event payload, text that is JSON
+    to Python's json module but not to the servient: numbers that are not
+    finite, and nesting far past its depth limit."""
+
+    values = {"nan": b"NaN", "infinity": b"Infinity", "overflow": b"1e999",
+              "deep": b"[" * 100000 + b"]" * 100000}
+    td = {
+        "title": "NotJson",
+        "properties": {name: {"type": "array" if name == "deep" else "number",
+                              "readOnly": True, "forms": [{"href": f"/properties/{name}"}]}
+                       for name in values},
+        "events": {"spike": {"data": {"type": "number"}, "forms": [{"href": "/events/spike"}]}},
+    }
+
+    def do_GET(self):
+        name = self.path.rpartition("/")[2]
+        if self.path == "/":
+            self._reply(json.dumps(self.td).encode(), "application/td+json")
+        elif self.path == "/events/spike":
+            self._reply(b"data: NaN\n\n", "text/event-stream")
+        elif name in self.values:
+            self._reply(self.values[name], "application/json")
+        else:
+            self.send_error(404)
+
+
+def _stub_servient(handler):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -443,6 +471,16 @@ def faulty_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def faulty_server():
+    yield from _stub_servient(_FaultyHandler)
+
+
+@pytest.fixture
+def not_json_server():
+    yield from _stub_servient(_NotJsonHandler)
 
 
 class TestProbe:
@@ -495,6 +533,16 @@ class TestProbe:
         lines = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert len(lines) == 1 and "state" in lines[0]
         assert "violates" in lines[0]
+
+    def test_bodies_the_servient_would_refuse_are_not_json(self, capsys, not_json_server):
+        code = main(["probe", not_json_server, "--duration", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[2] for line in failed] == ["nan", "infinity", "overflow", "deep",
+                                                        "spike"]
+        assert all(line.endswith("is not JSON") for line in failed), failed
+        assert "Traceback" not in captured.err
 
     def test_405_write_rejection_passes(self, capsys, faulty_server):
         main(["probe", faulty_server, "--duration", "0.2", "--json"])

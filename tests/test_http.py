@@ -101,12 +101,13 @@ class TestPropertyRoutes:
 
     def test_write_malformed_body(self, coffee_text):
         with running_server([coffee_text]) as handle:
-            reply = requests.put(
-                f"{handle.base_url}/Coffee-Machine/properties/state",
-                data=b"{not json",
-                headers={"Content-Type": "application/json"}, timeout=TIMEOUT)
-        assert reply.status_code == 400
-        assert "error" in reply.json()
+            for body in (b"{not json", b'"Brewing\xff"'):  # the second is not UTF-8
+                reply = requests.put(
+                    f"{handle.base_url}/Coffee-Machine/properties/state",
+                    data=body,
+                    headers={"Content-Type": "application/json"}, timeout=TIMEOUT)
+                assert reply.status_code == 400
+                assert "malformed JSON" in reply.json()["error"]
 
     def test_write_wrong_media_type(self, coffee_text):
         with running_server([coffee_text]) as handle:
@@ -506,11 +507,13 @@ class TestRequestFraming:
         assert "Content-Length" in status_and_body(answer)[1]["error"]
 
     def test_oversized_body_is_413_without_reading_it(self, coffee_text):
-        with running_server([coffee_text]) as handle:
-            answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
-                                  + str(server.MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n")
-        status, body = status_and_body(answer)
-        assert status == 413 and "error" in body
+        # 5000 digits are past the length int() converts from a string.
+        for length in (str(server.MAX_BODY_BYTES + 1), "0" * 5000 + "1" * 7, "9" * 5000):
+            with running_server([coffee_text]) as handle:
+                answer = raw_exchange(handle.port, self.PUT_HEAD + b"Content-Length: "
+                                      + length.encode() + b"\r\n\r\n")
+            status, body = status_and_body(answer)
+            assert status == 413 and "error" in body, length[:20]
 
     def test_request_body_after_interim_continue(self, coffee_text):
         head = self.PUT_HEAD + b"Content-Length: 9\r\nExpect: 100-continue\r\n\r\n"

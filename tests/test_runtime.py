@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import logging
@@ -28,7 +29,7 @@ from wotsim import (
     url_segment,
     validate,
 )
-from wotsim.generator import json_text
+from wotsim.td import json_text
 
 from conftest import CountingClock, HorizonClock, corpus_paths, fixture_text, running_server
 from oracles import json_diff
@@ -151,8 +152,8 @@ class TestProperties:
 
     def test_read_all_json_is_the_encoded_snapshot_without_decoding(self, monkeypatch):
         served, reference = (make_thing("sensor-hub.td.json", seed=5) for _ in range(2))
-        assert served.read_all_properties_json() == runtime._encode(
-            reference.read_all_properties())
+        assert served.read_all_properties_json() == json_text(
+            reference.read_all_properties()).encode("utf-8")
         for thing in (served, reference):
             thing.write_property("reading", {"ts": 7, "values": [0.1, -2.5e-7]})
             thing.write_property("label", "north")
@@ -162,7 +163,8 @@ class TestProperties:
                             lambda *args, **kw: decoded.append(args) or original(*args, **kw))
         bodies = [served.read_all_properties_json() for _ in range(3)]
         assert decoded == []
-        assert bodies == [runtime._encode(reference.read_all_properties()) for _ in range(3)]
+        assert bodies == [json_text(reference.read_all_properties()).encode("utf-8")
+                          for _ in range(3)]
 
 
 class TestActions:
@@ -281,7 +283,7 @@ class TestEvents:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(runtime.json, "dumps")
-        counted(runtime.copy, "deepcopy")
+        counted(copy, "deepcopy")
         for fixture, path, name in [
                 ("coffee-machine.td.json", "/Coffee-Machine/events/error", "error"),
                 ("thermostat.td.json", "/Thermostat-42/events/alarm", "alarm")]:  # an object
